@@ -34,7 +34,13 @@
 //! `lf-metrics` histograms (so map and skip-list latencies never
 //! alias in mixed deployments), tagged with its bucket index for
 //! `lf-trace` causal traces, and credited to per-bucket occupancy /
-//! contention statistics ([`BucketMap::snapshot`]).
+//! contention statistics ([`BucketMap::snapshot`]). Those statistics
+//! are owner-only per-handle cells ([`lf_metrics::partition`]), so a
+//! Zipf-hot bucket costs its handles no shared-line RMWs. Occupancy
+//! is the statistic that matters most for a hash map: a bucket's
+//! expected search cost is linear in its chain length, so
+//! [`BucketMapSnapshot::max_occupancy_share`] is the direct health
+//! check for the hash spreading the keys.
 //!
 //! # Examples
 //!
@@ -58,19 +64,52 @@
 //! ```
 
 mod router;
-mod stats;
-
-pub use stats::{BucketMapSnapshot, BucketSnapshot};
 
 use std::fmt;
 use std::hash::Hash;
 
 use lf_core::{ChainIter, FrList, ListHandle};
+use lf_metrics::partition::{self, OpHistograms, PartTotals, PartitionRecorder, PartitionStats};
 use lf_metrics::Structure;
 use lf_reclaim::{Ebr, Pod, Publish, Reclaim};
 use lf_tagged::CachePadded;
 
-use stats::BucketStats;
+/// Point-in-time statistics of one bucket: its op count and occupancy.
+pub type BucketSnapshot = partition::PartSnapshot;
+
+/// Statistics of every bucket of a [`BucketMap`], one entry per bucket
+/// in index order, plus the map's hop and CAS-retry histograms.
+#[derive(Clone, Debug)]
+pub struct BucketMapSnapshot {
+    /// Per-bucket snapshots, indexed by bucket.
+    pub per_bucket: Vec<BucketSnapshot>,
+    hists: OpHistograms,
+}
+
+impl BucketMapSnapshot {
+    /// Fold all buckets into one map-wide total: counts and
+    /// occupancies sum; the histograms cover every op on the map.
+    #[must_use]
+    pub fn merged(&self) -> PartTotals {
+        self.hists.merged(&self.per_bucket)
+    }
+
+    /// Largest per-bucket share of total resident keys, in
+    /// `[1/B, 1.0]` — the chain-length balance check (a share near 1.0
+    /// means one chain holds most of the map and point ops have
+    /// degraded toward the single-list cost).
+    #[must_use]
+    pub fn max_occupancy_share(&self) -> f64 {
+        partition::max_occupancy_share(&self.per_bucket)
+    }
+
+    /// Largest per-bucket share of total routed ops, in `[1/B, 1.0]`
+    /// — the contention balance check.
+    #[must_use]
+    pub fn max_ops_share(&self) -> f64 {
+        partition::max_ops_share(&self.per_bucket)
+    }
+}
 
 /// Default bucket count: deep enough that benchmark-scale key spaces
 /// keep expected chain length in the single digits, shallow enough
@@ -97,8 +136,8 @@ where
     /// sentinel and length counter never share a line with its
     /// neighbor.
     buckets: Box<[CachePadded<FrList<K, V, R>>]>,
-    /// Per-bucket statistics, parallel to `buckets`.
-    stats: Box<[CachePadded<BucketStats>]>,
+    /// Per-bucket op counts and the map's hop / retry histograms.
+    stats: PartitionStats,
     /// Bucket count − 1 (bucket count is a power of two).
     mask: usize,
 }
@@ -143,12 +182,9 @@ where
             vec.push(CachePadded::new(first.new_sibling()));
         }
         vec.insert(0, CachePadded::new(first));
-        let stats = (0..buckets)
-            .map(|_| CachePadded::new(BucketStats::new()))
-            .collect();
         BucketMap {
             buckets: vec.into_boxed_slice(),
-            stats,
+            stats: PartitionStats::new(buckets),
             mask: buckets - 1,
         }
     }
@@ -166,6 +202,7 @@ where
         BucketMapHandle {
             map: self,
             handle: self.buckets[0].handle(),
+            stats: self.stats.recorder(),
         }
     }
 
@@ -244,14 +281,8 @@ where
     /// Per-bucket statistics plus occupancy; see [`BucketMapSnapshot`].
     #[must_use]
     pub fn snapshot(&self) -> BucketMapSnapshot {
-        BucketMapSnapshot {
-            per_bucket: self
-                .stats
-                .iter()
-                .zip(self.buckets.iter())
-                .map(|(st, b)| st.snapshot(b.len()))
-                .collect(),
-        }
+        let (per_bucket, hists) = self.stats.snapshot(|i| self.buckets[i].len());
+        BucketMapSnapshot { per_bucket, hists }
     }
 
     /// Validate every bucket's structural invariants; quiescent only.
@@ -303,7 +334,8 @@ where
 /// operation to its key's bucket through the sibling ops. Every
 /// operation records an [`lf_metrics`] op boundary attributed to
 /// [`Structure::Map`], carries its bucket index as the `lf-trace`
-/// shard tag, and credits its step delta to the bucket's statistics.
+/// shard tag, and credits its step delta to the bucket through the
+/// handle's own statistics recorder.
 pub struct BucketMapHandle<'m, K, V, R = Ebr>
 where
     K: Ord + Hash + Send + Sync + 'static,
@@ -312,6 +344,7 @@ where
 {
     map: &'m BucketMap<K, V, R>,
     handle: ListHandle<'m, K, V, R>,
+    stats: PartitionRecorder<'m>,
 }
 
 impl<'m, K, V, R> BucketMapHandle<'m, K, V, R>
@@ -340,7 +373,8 @@ where
         let op = lf_metrics::op_begin_for(Structure::Map);
         let before = lf_metrics::local_steps();
         let res = self.handle.insert_in(&self.map.buckets[i], key, value);
-        self.map.stats[i].record(lf_metrics::local_steps().delta_since(before));
+        self.stats
+            .record(i, lf_metrics::local_steps().delta_since(before));
         lf_metrics::op_end(op);
         res
     }
@@ -355,7 +389,8 @@ where
         let op = lf_metrics::op_begin_for(Structure::Map);
         let before = lf_metrics::local_steps();
         let res = self.handle.remove_in(&self.map.buckets[i], key);
-        self.map.stats[i].record(lf_metrics::local_steps().delta_since(before));
+        self.stats
+            .record(i, lf_metrics::local_steps().delta_since(before));
         lf_metrics::op_end(op);
         res
     }
@@ -370,7 +405,8 @@ where
         let op = lf_metrics::op_begin_for(Structure::Map);
         let before = lf_metrics::local_steps();
         let res = self.handle.get_in(&self.map.buckets[i], key);
-        self.map.stats[i].record(lf_metrics::local_steps().delta_since(before));
+        self.stats
+            .record(i, lf_metrics::local_steps().delta_since(before));
         lf_metrics::op_end(op);
         res
     }
@@ -392,7 +428,8 @@ where
         let op = lf_metrics::op_begin_for(Structure::Map);
         let before = lf_metrics::local_steps();
         let res = self.handle.try_read_in(&self.map.buckets[i], key);
-        self.map.stats[i].record(lf_metrics::local_steps().delta_since(before));
+        self.stats
+            .record(i, lf_metrics::local_steps().delta_since(before));
         lf_metrics::op_end(op);
         res
     }
@@ -406,7 +443,8 @@ where
         let op = lf_metrics::op_begin_for(Structure::Map);
         let before = lf_metrics::local_steps();
         let res = self.handle.get_with_in(&self.map.buckets[i], key, f);
-        self.map.stats[i].record(lf_metrics::local_steps().delta_since(before));
+        self.stats
+            .record(i, lf_metrics::local_steps().delta_since(before));
         lf_metrics::op_end(op);
         res
     }
@@ -418,7 +456,8 @@ where
         let op = lf_metrics::op_begin_for(Structure::Map);
         let before = lf_metrics::local_steps();
         let res = self.handle.contains_in(&self.map.buckets[i], key);
-        self.map.stats[i].record(lf_metrics::local_steps().delta_since(before));
+        self.stats
+            .record(i, lf_metrics::local_steps().delta_since(before));
         lf_metrics::op_end(op);
         res
     }
@@ -567,23 +606,76 @@ mod tests {
 
     #[test]
     fn snapshot_attributes_ops_and_occupancy_to_buckets() {
+        const THREADS: u64 = if cfg!(miri) { 2 } else { 4 };
+        const PER: u64 = if cfg!(miri) { 16 } else { 100 };
         let map: BucketMap<u64, u64> = BucketMap::new(4);
-        let h = map.handle();
-        for k in 0..400u64 {
-            assert!(h.insert(k, k).is_ok());
-        }
+        // Each thread inserts its own keys on its own handle and tallies
+        // how many ops it routed to each bucket.
+        let mut routed = [0u64; 4];
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let map = &map;
+                    s.spawn(move || {
+                        let h = map.handle();
+                        let mut mine = [0u64; 4];
+                        for k in t * PER..(t + 1) * PER {
+                            assert!(h.insert(k, k).is_ok());
+                            mine[map.bucket_of(&k)] += 1;
+                        }
+                        mine
+                    })
+                })
+                .collect();
+            for w in workers {
+                for (r, m) in routed.iter_mut().zip(w.join().unwrap()) {
+                    *r += m;
+                }
+            }
+        });
+        let n = THREADS * PER;
+        // The inserts alone: one op per resident key in every bucket.
         let snap = map.snapshot();
         assert_eq!(snap.per_bucket.len(), 4);
-        let merged = snap.merged();
-        assert_eq!(merged.ops, 400);
-        assert_eq!(merged.occupancy, 400);
+        for (i, b) in snap.per_bucket.iter().enumerate() {
+            assert_eq!(b.ops, routed[i], "bucket {i}");
+            assert_eq!(b.ops as usize, b.occupancy, "bucket {i}");
+        }
         // Sequential keys must spread: no bucket may own >60% of keys.
         assert!(snap.max_occupancy_share() < 0.6, "{snap:?}");
         assert!(snap.max_ops_share() < 0.6, "{snap:?}");
-        // Every op routed to bucket i bumped bucket i's count only.
-        for (i, s) in snap.per_bucket.iter().enumerate() {
-            assert_eq!(s.ops as usize, s.occupancy, "bucket {i}");
+
+        // A live handle's ops are counted while it lives, and dropping it
+        // folds them exactly once.
+        let h = map.handle();
+        for k in 0..n {
+            assert_eq!(h.get(&k), Some(k));
         }
+        let live = map.snapshot();
+        drop(h);
+        let folded = map.snapshot();
+        for (i, (a, b)) in live.per_bucket.iter().zip(&folded.per_bucket).enumerate() {
+            assert_eq!(a.ops, 2 * routed[i], "bucket {i}");
+            assert_eq!(a, b, "bucket {i}");
+        }
+        let (a, b) = (live.merged(), folded.merged());
+        assert_eq!((a.ops, a.occupancy), (2 * n, n as usize));
+        assert_eq!((b.ops, b.occupancy), (a.ops, a.occupancy));
+        // One hop and one retry sample per op, whichever handle ran it.
+        for m in [&a, &b] {
+            assert_eq!(m.hops.count(), m.ops);
+            assert_eq!(m.cas_retries.count(), m.ops);
+        }
+        assert_eq!(a.hops.sum(), b.hops.sum());
+        assert_eq!(a.cas_retries.sum(), b.cas_retries.sum());
+
+        // Convenience calls run through temporary handles and count too.
+        let i = map.bucket_of(&0);
+        assert!(map.contains(&0));
+        assert_eq!(map.get(&0), Some(0));
+        let snap = map.snapshot();
+        assert_eq!(snap.per_bucket[i].ops, 2 * routed[i] + 2);
+        assert_eq!(snap.merged().hops.count(), 2 * n + 2);
     }
 
     #[test]

@@ -49,9 +49,9 @@
 //! [`set_histograms_enabled`].
 //!
 //! The [`export`] module renders snapshots as JSON lines or Prometheus
-//! text exposition; the optional `trace` feature adds a per-thread
-//! ring-buffer event tracer (module [`trace`]) for interleaving
-//! replay.
+//! text exposition. The [`partition`] module re-buckets the same step
+//! deltas by data partition (bucket or shard) for the routed
+//! structures, with owner-only per-handle cells.
 //!
 //! # Examples
 //!
@@ -71,8 +71,7 @@ mod clock;
 pub mod export;
 pub mod gauge;
 pub mod histogram;
-#[cfg(feature = "trace")]
-pub mod trace;
+pub mod partition;
 
 pub use gauge::{UnreclaimedGauge, UnreclaimedSnapshot};
 pub use histogram::{AtomicHistogram, Histogram};
@@ -477,8 +476,6 @@ fn with_local(f: impl FnOnce(&Shard)) {
 /// Insert successes emit nothing; the op's `complete` covers them.
 #[inline]
 pub fn record_cas(ty: CasType, success: bool) {
-    #[cfg(feature = "trace")]
-    trace::emit(trace::EventKind::Cas { ty, ok: success });
     if !success {
         lf_trace::emit_aux(lf_trace::Phase::CasFail, ty as u32);
     } else {
@@ -503,8 +500,6 @@ pub fn record_cas(ty: CasType, success: bool) {
 /// ([`lf_trace::Phase::BacklinkWalk`]).
 #[inline]
 pub fn record_backlink() {
-    #[cfg(feature = "trace")]
-    trace::emit(trace::EventKind::Backlink);
     lf_trace::emit(lf_trace::Phase::BacklinkWalk);
     with_local(|l| Shard::bump(&l.backlink_traversals));
 }
@@ -512,16 +507,12 @@ pub fn record_backlink() {
 /// Record one `next_node` pointer update (`SearchFrom` line 6).
 #[inline]
 pub fn record_next_update() {
-    #[cfg(feature = "trace")]
-    trace::emit(trace::EventKind::NextUpdate);
     with_local(|l| Shard::bump(&l.next_updates));
 }
 
 /// Record one `curr_node` pointer update (`SearchFrom` line 8).
 #[inline]
 pub fn record_curr_update() {
-    #[cfg(feature = "trace")]
-    trace::emit(trace::EventKind::CurrUpdate);
     with_local(|l| Shard::bump(&l.curr_updates));
 }
 
@@ -543,8 +534,6 @@ pub fn record_try_read_fallback() {
 /// Record one completed dictionary operation (for per-op averages).
 #[inline]
 pub fn record_op() {
-    #[cfg(feature = "trace")]
-    trace::emit(trace::EventKind::OpEnd);
     with_local(|l| Shard::bump(&l.ops));
 }
 
@@ -686,8 +675,6 @@ pub fn op_begin_for(structure: Structure) -> OpToken {
 /// (callers must not additionally call [`record_op`]).
 #[inline]
 pub fn op_end(token: OpToken) {
-    #[cfg(feature = "trace")]
-    trace::emit(trace::EventKind::OpEnd);
     // Close the causal scope: emits `complete` iff this boundary
     // minted the id (an async-minted op completes at its front door).
     token.trace.finish();

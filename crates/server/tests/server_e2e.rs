@@ -339,7 +339,10 @@ fn shed_policy_surfaces_busy_with_exact_accounting() {
 /// of its own, so with several workers this only holds if the server
 /// pins same-key requests to one lane *and* enqueues them in parse
 /// order — the two halves of the pipelining ordering contract.
-fn assert_same_key_pipeline_ordered(service: Arc<lf_async::AsyncSkipList<Bytes, Bytes>>, rounds: usize) {
+fn assert_same_key_pipeline_ordered(
+    service: Arc<lf_async::AsyncSkipList<Bytes, Bytes>>,
+    rounds: usize,
+) {
     let server = ServerBuilder::new().serve(Arc::clone(&service)).unwrap();
     let mut c = Client::connect(server.local_addr());
 

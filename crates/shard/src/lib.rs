@@ -23,10 +23,11 @@
 //! [`ShardedHandle::try_read`] serves point lookups without touching
 //! the shared reclamation domain at all.
 //!
-//! Per-shard telemetry (`ops`, search hops, CAS retries, occupancy) is
-//! re-bucketed from the thread-sharded `lf-metrics` counters by
-//! differencing them around each routed operation; see
-//! [`ShardedSkipList::snapshot`].
+//! Per-shard telemetry (`ops`, occupancy, plus map-wide search-hop
+//! and CAS-retry histograms) is re-bucketed from the thread-sharded
+//! `lf-metrics` counters by differencing them around each routed
+//! operation, into owner-only per-handle cells
+//! ([`lf_metrics::partition`]); see [`ShardedSkipList::snapshot`].
 //!
 //! For pure key-value traffic with no ordered scans there is also the
 //! bucketed-map flavor, [`ShardedMap`]: shards that are whole `lf-map`
@@ -60,21 +61,46 @@
 //! ```
 
 mod map_flavor;
-mod metrics;
 mod router;
 
 pub use map_flavor::{ShardedMap, ShardedMapHandle, ShardedMapIter};
-pub use metrics::{ShardSnapshot, ShardedSnapshot};
 
 use std::fmt;
 use std::hash::Hash;
 use std::ops::RangeBounds;
 
 use lf_core::skiplist::{merged_range, SkipList, SkipListHandle};
+use lf_metrics::partition::{self, OpHistograms, PartTotals, PartitionRecorder, PartitionStats};
 use lf_reclaim::{Ebr, Pod, Publish, Reclaim};
 use lf_tagged::CachePadded;
 
-use metrics::ShardStats;
+/// Point-in-time statistics of one shard: its op count and occupancy.
+pub type ShardSnapshot = partition::PartSnapshot;
+
+/// Statistics of every shard of a [`ShardedSkipList`], one entry per
+/// shard in index order, plus the map's hop and CAS-retry histograms.
+#[derive(Clone, Debug)]
+pub struct ShardedSnapshot {
+    /// Per-shard snapshots, indexed by shard.
+    pub per_shard: Vec<ShardSnapshot>,
+    hists: OpHistograms,
+}
+
+impl ShardedSnapshot {
+    /// Fold all shards into one map-wide total: counts and
+    /// occupancies sum; the histograms cover every op on the map.
+    #[must_use]
+    pub fn merged(&self) -> PartTotals {
+        self.hists.merged(&self.per_shard)
+    }
+
+    /// Largest per-shard share of total routed ops, in `[1/P, 1.0]` —
+    /// a quick balance check (1/P is perfectly even).
+    #[must_use]
+    pub fn max_ops_share(&self) -> f64 {
+        partition::max_ops_share(&self.per_shard)
+    }
+}
 
 /// Default shard count: enough to split head-tower contention across a
 /// typical benchmark machine's cores without diluting per-shard
@@ -101,8 +127,8 @@ where
     /// The partitions. Each is `CachePadded` so one shard's hot head
     /// tower and length counter never share a line with its neighbor.
     shards: Box<[CachePadded<SkipList<K, V, R>>]>,
-    /// Per-shard statistics, parallel to `shards`.
-    stats: Box<[CachePadded<ShardStats>]>,
+    /// Per-shard op counts and the map's hop / retry histograms.
+    stats: PartitionStats,
     /// Shard count − 1 (shard count is a power of two).
     mask: usize,
 }
@@ -179,12 +205,9 @@ where
             vec.push(CachePadded::new(first.new_sibling()));
         }
         vec.insert(0, CachePadded::new(first));
-        let stats = (0..shards)
-            .map(|_| CachePadded::new(ShardStats::new()))
-            .collect();
         ShardedSkipList {
             shards: vec.into_boxed_slice(),
-            stats,
+            stats: PartitionStats::new(shards),
             mask: shards - 1,
         }
     }
@@ -196,6 +219,7 @@ where
         ShardedHandle {
             map: self,
             handles: self.shards.iter().map(|s| s.handle()).collect(),
+            stats: self.stats.recorder(),
         }
     }
 
@@ -268,14 +292,8 @@ where
     /// Per-shard statistics plus occupancy; see [`ShardedSnapshot`].
     #[must_use]
     pub fn snapshot(&self) -> ShardedSnapshot {
-        ShardedSnapshot {
-            per_shard: self
-                .stats
-                .iter()
-                .zip(self.shards.iter())
-                .map(|(st, sh)| st.snapshot(sh.len()))
-                .collect(),
-        }
+        let (per_shard, hists) = self.stats.snapshot(|i| self.shards[i].len());
+        ShardedSnapshot { per_shard, hists }
     }
 
     /// Validate every shard's structural invariants; quiescent only.
@@ -321,8 +339,8 @@ where
 ///
 /// Owns one [`SkipListHandle`] per shard; every operation routes the
 /// key to its shard's handle, and the step counters are differenced
-/// around the call to credit the work to that shard (see
-/// [`ShardedSkipList::snapshot`]).
+/// around the call to credit the work to that shard through the
+/// handle's own statistics recorder (see [`ShardedSkipList::snapshot`]).
 pub struct ShardedHandle<'s, K, V, R = Ebr>
 where
     K: Ord + Hash + Send + Sync + 'static,
@@ -331,6 +349,7 @@ where
 {
     map: &'s ShardedSkipList<K, V, R>,
     handles: Box<[SkipListHandle<'s, K, V, R>]>,
+    stats: PartitionRecorder<'s>,
 }
 
 impl<'s, K, V, R> ShardedHandle<'s, K, V, R>
@@ -354,7 +373,8 @@ where
         let _t = lf_trace::shard_scope(i as u16);
         let before = lf_metrics::local_steps();
         let res = self.handles[i].insert(key, value);
-        self.map.stats[i].record(lf_metrics::local_steps().delta_since(before));
+        self.stats
+            .record(i, lf_metrics::local_steps().delta_since(before));
         res
     }
 
@@ -367,7 +387,8 @@ where
         let _t = lf_trace::shard_scope(i as u16);
         let before = lf_metrics::local_steps();
         let res = self.handles[i].remove(key);
-        self.map.stats[i].record(lf_metrics::local_steps().delta_since(before));
+        self.stats
+            .record(i, lf_metrics::local_steps().delta_since(before));
         res
     }
 
@@ -380,7 +401,8 @@ where
         let _t = lf_trace::shard_scope(i as u16);
         let before = lf_metrics::local_steps();
         let res = self.handles[i].get(key);
-        self.map.stats[i].record(lf_metrics::local_steps().delta_since(before));
+        self.stats
+            .record(i, lf_metrics::local_steps().delta_since(before));
         res
     }
 
@@ -398,7 +420,8 @@ where
         let _t = lf_trace::shard_scope(i as u16);
         let before = lf_metrics::local_steps();
         let res = self.handles[i].try_read(key);
-        self.map.stats[i].record(lf_metrics::local_steps().delta_since(before));
+        self.stats
+            .record(i, lf_metrics::local_steps().delta_since(before));
         res
     }
 
@@ -410,7 +433,8 @@ where
         let _t = lf_trace::shard_scope(i as u16);
         let before = lf_metrics::local_steps();
         let res = self.handles[i].get_with(key, f);
-        self.map.stats[i].record(lf_metrics::local_steps().delta_since(before));
+        self.stats
+            .record(i, lf_metrics::local_steps().delta_since(before));
         res
     }
 
@@ -420,7 +444,8 @@ where
         let _t = lf_trace::shard_scope(i as u16);
         let before = lf_metrics::local_steps();
         let res = self.handles[i].contains(key);
-        self.map.stats[i].record(lf_metrics::local_steps().delta_since(before));
+        self.stats
+            .record(i, lf_metrics::local_steps().delta_since(before));
         res
     }
 
@@ -586,22 +611,75 @@ mod tests {
 
     #[test]
     fn snapshot_attributes_ops_to_shards() {
+        const THREADS: u64 = if cfg!(miri) { 2 } else { 4 };
+        const PER: u64 = if cfg!(miri) { 16 } else { 100 };
         let map: ShardedSkipList<u64, u64> = ShardedSkipList::new(4);
-        let h = map.handle();
-        for k in 0..400u64 {
-            assert!(h.insert(k, k).is_ok());
-        }
+        // Each thread inserts its own keys on its own handle and tallies
+        // how many ops it routed to each shard.
+        let mut routed = [0u64; 4];
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let map = &map;
+                    s.spawn(move || {
+                        let h = map.handle();
+                        let mut mine = [0u64; 4];
+                        for k in t * PER..(t + 1) * PER {
+                            assert!(h.insert(k, k).is_ok());
+                            mine[map.shard_of(&k)] += 1;
+                        }
+                        mine
+                    })
+                })
+                .collect();
+            for w in workers {
+                for (r, m) in routed.iter_mut().zip(w.join().unwrap()) {
+                    *r += m;
+                }
+            }
+        });
+        let n = THREADS * PER;
+        // The inserts alone: one op per resident key in every shard.
         let snap = map.snapshot();
         assert_eq!(snap.per_shard.len(), 4);
-        let merged = snap.merged();
-        assert_eq!(merged.ops, 400);
-        assert_eq!(merged.occupancy, 400);
-        // Sequential keys must spread: no shard may own >60% of ops.
-        assert!(snap.max_ops_share() < 0.6, "{:?}", snap);
-        // Every op routed to shard i bumped shard i's count only.
-        for (i, s) in snap.per_shard.iter().enumerate() {
-            assert_eq!(s.ops as usize, s.occupancy, "shard {i}");
+        for (i, sh) in snap.per_shard.iter().enumerate() {
+            assert_eq!(sh.ops, routed[i], "shard {i}");
+            assert_eq!(sh.ops as usize, sh.occupancy, "shard {i}");
         }
+        // Sequential keys must spread: no shard may own >60% of ops.
+        assert!(snap.max_ops_share() < 0.6, "{snap:?}");
+
+        // A live handle's ops are counted while it lives, and dropping it
+        // folds them exactly once.
+        let h = map.handle();
+        for k in 0..n {
+            assert_eq!(h.get(&k), Some(k));
+        }
+        let live = map.snapshot();
+        drop(h);
+        let folded = map.snapshot();
+        for (i, (a, b)) in live.per_shard.iter().zip(&folded.per_shard).enumerate() {
+            assert_eq!(a.ops, 2 * routed[i], "shard {i}");
+            assert_eq!(a, b, "shard {i}");
+        }
+        let (a, b) = (live.merged(), folded.merged());
+        assert_eq!((a.ops, a.occupancy), (2 * n, n as usize));
+        assert_eq!((b.ops, b.occupancy), (a.ops, a.occupancy));
+        // One hop and one retry sample per op, whichever handle ran it.
+        for m in [&a, &b] {
+            assert_eq!(m.hops.count(), m.ops);
+            assert_eq!(m.cas_retries.count(), m.ops);
+        }
+        assert_eq!(a.hops.sum(), b.hops.sum());
+        assert_eq!(a.cas_retries.sum(), b.cas_retries.sum());
+
+        // Convenience calls run through temporary handles and count too.
+        let i = map.shard_of(&0);
+        assert!(map.contains(&0));
+        assert_eq!(map.get(&0), Some(0));
+        let snap = map.snapshot();
+        assert_eq!(snap.per_shard[i].ops, 2 * routed[i] + 2);
+        assert_eq!(snap.merged().hops.count(), 2 * n + 2);
     }
 
     #[test]

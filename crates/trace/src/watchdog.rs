@@ -194,11 +194,20 @@ impl Watchdog {
             trips: AtomicU64::new(0),
             last: Mutex::new(None),
         });
+        // Sample the epoch baseline here, not on the monitor thread:
+        // retire pressure recorded between `start` returning and the
+        // monitor's first instruction must count against it, or a stall
+        // already in progress is absorbed into the baseline.
+        let baseline = EpochBaseline {
+            advances: crate::epoch_advances(),
+            retires: crate::retires(),
+            since: Instant::now(),
+        };
         let monitor = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("lf-trace-watchdog".into())
-                .spawn(move || monitor_loop(&shared, cfg))
+                .spawn(move || monitor_loop(&shared, cfg, baseline))
                 .expect("spawn watchdog monitor")
         };
         Watchdog {
@@ -258,16 +267,23 @@ struct Watched {
     reported: bool,
 }
 
-fn monitor_loop(shared: &Shared, cfg: Config) {
+/// The epoch-progress counters as [`Watchdog::start`] found them.
+struct EpochBaseline {
+    advances: u64,
+    retires: u64,
+    since: Instant,
+}
+
+fn monitor_loop(shared: &Shared, cfg: Config, baseline: EpochBaseline) {
     let poll = cfg
         .poll
         .unwrap_or_else(|| (cfg.deadline / 4).max(Duration::from_millis(10)));
     let mut watched: Vec<Watched> = Vec::new();
     // Epoch-advance tracking: `since` is when `epoch_advances()` last
     // changed; `retires_then` is the retire count at that moment.
-    let mut epoch_seen = crate::epoch_advances();
-    let mut epoch_since = Instant::now();
-    let mut retires_then = crate::retires();
+    let mut epoch_seen = baseline.advances;
+    let mut epoch_since = baseline.since;
+    let mut retires_then = baseline.retires;
     let mut epoch_reported = false;
 
     loop {
