@@ -7,8 +7,10 @@
 //! threads between polls. This crate bridges the two with a
 //! *submission service*:
 //!
-//! * [`AsyncList`] / [`AsyncSkipList`] (both aliases of [`Service`])
-//!   expose `get`/`insert`/`remove`/`contains` as [`OpFuture`]s that
+//! * [`Service<D>`](Service) fronts any [`Dict`] — the FR list and skip
+//!   list ([`AsyncList`] / [`AsyncSkipList`]), the partitioned tiers
+//!   ([`AsyncShardedMap`] / [`AsyncHashMap`]), or a caller's own — and
+//!   exposes `get`/`insert`/`remove`/`contains` as [`OpFuture`]s that
 //!   are `Send` and hold **no epoch guard across any `.await`** — the
 //!   pin-per-poll invariant (DESIGN.md §10). Futures are pure
 //!   completion-waiters; all structure access happens on lane workers.
@@ -17,7 +19,9 @@
 //!   to `batch_max` requests at a time and execute them through a
 //!   thread-local handle whose epoch announcement is amortized across
 //!   the whole batch — one pin per drained batch, preserving the
-//!   paper's amortized `O(n(S) + c(S))` per request.
+//!   paper's amortized `O(n(S) + c(S))` per request. A partitioned
+//!   structure ([`Dict::partition_of`]) pins each key to the lane that
+//!   owns its partition.
 //! * Full lanes apply a configurable [`BackpressurePolicy`]: `Block`
 //!   (suspend the submitter), `Reject` (fail fast), or `Shed` (evict
 //!   the oldest queued request).
@@ -47,17 +51,15 @@
 //! service.shutdown();
 //! ```
 
-mod backend;
 pub mod metrics;
 mod op;
 mod ring;
 mod service;
 
-pub use backend::{AsyncBackend, BackendHandle};
+pub use lf_core::{Dict, DictHandle};
 pub use metrics::{ServiceMetrics, ServiceSnapshot};
 pub use op::{Error, GetWithVisitor, Request, Response, ScanSlot};
 pub use service::{
     install_stall_hook, AsyncHashMap, AsyncList, AsyncShardedMap, AsyncSkipList,
-    BackpressurePolicy, GetWithFuture, HashMapBuilder, LaneFuture, OpFuture, ScanFuture, Service,
-    ServiceBuilder, ShardedBuilder,
+    BackpressurePolicy, GetWithFuture, LaneFuture, OpFuture, ScanFuture, Service, ServiceBuilder,
 };

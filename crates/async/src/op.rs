@@ -17,6 +17,8 @@ use std::sync::Mutex;
 use std::task::{Context, Poll, Waker};
 use std::time::Instant;
 
+use lf_core::{Dict, DictHandle};
+
 /// The boxed visitor a [`Request::GetWith`] carries to the lane
 /// worker. Called exactly once with `Some(&value)` if the key is
 /// present or `None` if absent, on the worker thread, under the
@@ -56,11 +58,68 @@ pub enum Request<K, V> {
     /// Ordered scan: clone up to `.1` pairs with keys strictly greater
     /// than `.0` (`None` = from the start) into the slot, executed on
     /// the lane worker under its batch-amortized pin. Only ordered
-    /// backends serve it — see
-    /// [`AsyncBackend::supports_scan`](crate::AsyncBackend::supports_scan).
+    /// structures serve it — see [`Dict::ordered`].
     Scan(Option<K>, usize, ScanSlot<K, V>),
     /// Number of live keys.
     Len,
+}
+
+impl<K, V> Request<K, V> {
+    /// The key a point request addresses; `None` for `Scan` (it crosses
+    /// every partition) and `Len` (no key).
+    pub(crate) fn key(&self) -> Option<&K> {
+        match self {
+            Request::Get(k)
+            | Request::Contains(k)
+            | Request::Insert(k, _)
+            | Request::Upsert(k, _)
+            | Request::Remove(k)
+            | Request::GetWith(k, _) => Some(k),
+            Request::Scan(..) | Request::Len => None,
+        }
+    }
+}
+
+/// Execute one request on a lane worker's handle of `dict`.
+///
+/// `GetWith` runs its visitor inside the handle's `get_with` (under
+/// the worker's pin), or afterwards with `None` when the key is
+/// absent, so the future's slot protocol always sees a completed
+/// visit. `Scan` fills the request's slot in place; unordered
+/// structures leave it empty.
+pub(crate) fn apply<D: Dict>(
+    dict: &D,
+    h: &D::Handle<'_>,
+    req: Request<D::Key, D::Value>,
+) -> Response<D::Value> {
+    match req {
+        Request::Get(k) => Response::Value(h.get(&k)),
+        Request::Contains(k) => Response::Found(h.contains(&k)),
+        Request::Insert(k, v) => Response::Inserted(h.insert(k, v)),
+        Request::Upsert(k, v) => Response::Inserted(h.upsert(k, v)),
+        Request::Remove(k) => Response::Removed(h.remove(&k)),
+        Request::GetWith(k, visitor) => {
+            let mut slot = Some(visitor);
+            let found = h
+                .get_with(&k, |v| {
+                    (slot.take().expect("visitor runs at most once"))(Some(v))
+                })
+                .is_some();
+            if let Some(visit) = slot {
+                visit(None);
+            }
+            Response::Visited(found)
+        }
+        Request::Scan(after, limit, out) => {
+            let mut page = out
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            page.clear();
+            h.scan(after.as_ref(), limit, &mut page);
+            Response::Scanned(page.len())
+        }
+        Request::Len => Response::Len(dict.len()),
+    }
 }
 
 impl<K: fmt::Debug, V> fmt::Debug for Request<K, V> {

@@ -23,14 +23,13 @@ use std::task::{Context, Poll, Waker};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use lf_core::{FrList, SkipList};
+use lf_core::{Dict, DictHandle, FrList, SkipList};
 use lf_map::BucketMap;
 use lf_shard::ShardedSkipList;
 use lf_tagged::Backoff;
 
-use crate::backend::{AsyncBackend, BackendHandle};
 use crate::metrics::{ServiceMetrics, ServiceSnapshot};
-use crate::op::{Error, GetWithVisitor, OpCell, Request, Response, ScanSlot};
+use crate::op::{apply, Error, GetWithVisitor, OpCell, Request, Response, ScanSlot};
 use crate::ring::{Pop, PushError, Ring};
 
 /// What a submission does when its lane's queue is full.
@@ -121,9 +120,9 @@ impl<K, V> Lane<K, V> {
 }
 
 /// State shared by the service front, every future, and every worker.
-struct Shared<B: AsyncBackend> {
-    backend: B,
-    lanes: Box<[Lane<B::Key, B::Value>]>,
+struct Shared<D: Dict> {
+    backend: D,
+    lanes: Box<[Lane<D::Key, D::Value>]>,
     policy: BackpressurePolicy,
     /// Per-lane queue capacity (after power-of-two rounding), for
     /// occupancy math in admission controllers.
@@ -160,20 +159,23 @@ enum Submit<K, V> {
     Failed(Error),
 }
 
-impl<B: AsyncBackend> Shared<B> {
+impl<D: Dict> Shared<D> {
     fn submit(
         &self,
-        req: Request<B::Key, B::Value>,
+        req: Request<D::Key, D::Value>,
         lane_hint: Option<usize>,
         cx: &mut Context<'_>,
-    ) -> Submit<B::Key, B::Value> {
-        // Affinity first: a partitioned backend pins each key's
-        // requests to the lane owning its shard. Then the caller's
-        // hint ([`OpFuture::pin_lane`]) — a front end that needs FIFO
-        // between its own requests routes them through one lane.
-        // Everything else round-robins.
-        let lane_idx = match self.backend.lane_for(&req, self.lanes.len()) {
-            Some(i) => i % self.lanes.len(),
+    ) -> Submit<D::Key, D::Value> {
+        // Affinity first: on a partitioned structure each keyed
+        // request goes to the lane owning its partition (`partition mod
+        // lanes`), so one worker serves each shard's or bucket's CAS
+        // traffic. Then the caller's hint ([`OpFuture::pin_lane`]) — a
+        // front end that needs FIFO between its own requests routes
+        // them through one lane. Everything else (scans, `Len`, and
+        // unpartitioned structures) round-robins.
+        let affine = req.key().and_then(|k| self.backend.partition_of(k));
+        let lane_idx = match affine {
+            Some(p) => p % self.lanes.len(),
             None => match lane_hint {
                 Some(i) => i % self.lanes.len(),
                 // ord: Relaxed — ASYNC.stat: round-robin ticket, no ordering needed
@@ -260,7 +262,7 @@ impl<B: AsyncBackend> Shared<B> {
     }
 }
 
-fn worker_loop<B: AsyncBackend>(shared: &Shared<B>, lane_idx: usize) {
+fn worker_loop<D: Dict>(shared: &Shared<D>, lane_idx: usize) {
     let lane = &shared.lanes[lane_idx];
     let hb = shared.hearts.get(lane_idx).cloned();
     // Every event this worker records carries its lane tag.
@@ -273,7 +275,7 @@ fn worker_loop<B: AsyncBackend>(shared: &Shared<B>, lane_idx: usize) {
     // ord: Relaxed — ASYNC.batch: tuning knob; any observed value ≥ 1 is correct, staleness only sizes one drain
     let mut bmax = shared.lanes[lane_idx].batch_max.load(Ordering::Relaxed);
     handle.amortize_pins(bmax.max(1) as u32);
-    let mut batch: Vec<Arc<OpCell<B::Key, B::Value>>> = Vec::with_capacity(bmax);
+    let mut batch: Vec<Arc<OpCell<D::Key, D::Value>>> = Vec::with_capacity(bmax);
     loop {
         if lane.ring.is_closed() {
             shutdown_drain(shared, lane_idx);
@@ -318,7 +320,7 @@ fn worker_loop<B: AsyncBackend>(shared: &Shared<B>, lane_idx: usize) {
                 if let Some(hook) = STALL_HOOK.get() {
                     hook(lane_idx);
                 }
-                let resp = handle.apply(req);
+                let resp = apply(&shared.backend, &handle, req);
                 shared.metrics.record_complete(cell.elapsed_ns());
                 cell.complete(Ok(resp));
                 // The front door minted the id, so the async layer —
@@ -341,7 +343,7 @@ fn worker_loop<B: AsyncBackend>(shared: &Shared<B>, lane_idx: usize) {
 
 /// Resolve everything still queued on a closed lane with
 /// [`Error::Shutdown`], spinning out in-flight publishers.
-fn shutdown_drain<B: AsyncBackend>(shared: &Shared<B>, lane_idx: usize) {
+fn shutdown_drain<D: Dict>(shared: &Shared<D>, lane_idx: usize) {
     let lane = &shared.lanes[lane_idx];
     let backoff = Backoff::new();
     loop {
@@ -444,10 +446,24 @@ impl ServiceBuilder {
         self
     }
 
-    /// Build a service fronting `backend` and start its workers.
-    pub fn build<B: AsyncBackend>(self, backend: B) -> Service<B> {
+    /// Build a service fronting `backend` and start its workers. On a
+    /// partitioned structure ([`Dict::partition_of`]) each keyed
+    /// request goes to the lane owning its partition (`partition mod
+    /// lanes`).
+    ///
+    /// ```
+    /// use lf_async::ServiceBuilder;
+    /// use lf_shard::ShardedSkipList;
+    ///
+    /// let service = ServiceBuilder::new()
+    ///     .workers(2)
+    ///     .build(ShardedSkipList::<u64, u64>::new(4));
+    /// assert_eq!(service.backend().shard_count(), 4);
+    /// service.shutdown();
+    /// ```
+    pub fn build<D: Dict>(self, backend: D) -> Service<D> {
         let queue_capacity = self.queue_capacity.max(2).next_power_of_two();
-        let lanes: Vec<Lane<B::Key, B::Value>> = (0..self.workers)
+        let lanes: Vec<Lane<D::Key, D::Value>> = (0..self.workers)
             .map(|_| Lane::new(queue_capacity, self.batch_max))
             .collect();
         let (watchdog, hearts) = match self.watchdog_deadline {
@@ -509,189 +525,13 @@ impl ServiceBuilder {
     }
 }
 
-/// Builder for a service over a [`ShardedSkipList`], pairing lanes
-/// with shards.
-///
-/// Each lane worker gets an affinity set of shards (`shard mod
-/// lanes`): the backend routes every keyed request to the lane owning
-/// its shard, so a shard's CAS traffic is served by exactly one worker
-/// and the submission rings carry no cross-lane traffic. By default
-/// the shard count is the worker count rounded up to a power of two
-/// (one shard per lane).
-///
-/// ```
-/// use lf_async::ShardedBuilder;
-///
-/// let service = ShardedBuilder::new()
-///     .workers(2)
-///     .shards(4)
-///     .build::<u64, u64>();
-/// assert_eq!(service.backend().shard_count(), 4);
-/// service.shutdown();
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct ShardedBuilder {
-    base: ServiceBuilder,
-    shards: Option<usize>,
-}
-
-impl ShardedBuilder {
-    /// Defaults: [`ServiceBuilder`]'s, with one shard per lane.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of lane workers (≥ 1). One submission lane per worker.
-    pub fn workers(mut self, n: usize) -> Self {
-        self.base = self.base.workers(n);
-        self
-    }
-
-    /// Per-lane queue capacity (rounded up to a power of two, ≥ 2).
-    pub fn queue_capacity(mut self, cap: usize) -> Self {
-        self.base = self.base.queue_capacity(cap);
-        self
-    }
-
-    /// Maximum requests a worker executes per drained batch (≥ 1).
-    pub fn batch_max(mut self, n: usize) -> Self {
-        self.base = self.base.batch_max(n);
-        self
-    }
-
-    /// What submissions do when a lane is full.
-    pub fn policy(mut self, p: BackpressurePolicy) -> Self {
-        self.base = self.base.policy(p);
-        self
-    }
-
-    /// Enable the stall watchdog; see [`ServiceBuilder::watchdog`].
-    pub fn watchdog(mut self, deadline: Duration) -> Self {
-        self.base = self.base.watchdog(deadline);
-        self
-    }
-
-    /// Flight-recorder dump path; see [`ServiceBuilder::watchdog_dump`].
-    pub fn watchdog_dump(mut self, path: impl Into<std::path::PathBuf>) -> Self {
-        self.base = self.base.watchdog_dump(path);
-        self
-    }
-
-    /// Shard count (rounded up to a power of two, ≥ 1). Defaults to
-    /// the worker count rounded up to a power of two.
-    pub fn shards(mut self, n: usize) -> Self {
-        self.shards = Some(n.max(1).next_power_of_two());
-        self
-    }
-
-    /// Build the sharded service and start its workers.
-    pub fn build<K, V>(self) -> AsyncShardedMap<K, V>
-    where
-        K: Ord + std::hash::Hash + Clone + Send + Sync + 'static,
-        V: Clone + Send + Sync + 'static,
-    {
-        let shards = self
-            .shards
-            .unwrap_or_else(|| self.base.workers.next_power_of_two());
-        self.base.build(ShardedSkipList::new(shards))
-    }
-}
-
-/// Builder for a service over an `lf-map` [`BucketMap`] — the hash-map
-/// serving tier behind the submission rings.
-///
-/// The backend routes every keyed request to the lane owning its
-/// bucket (`bucket mod lanes`), so one worker serves each bucket
-/// chain's CAS traffic; with the default bucket count (well above any
-/// sane lane count) every lane owns an even slice of the buckets. All
-/// [`ServiceBuilder`] knobs (backpressure policy, watchdog, flight
-/// recorder) apply unchanged, and OpId phase events flow through
-/// exactly as for the list and skip-list services.
-///
-/// ```
-/// use lf_async::HashMapBuilder;
-///
-/// let service = HashMapBuilder::new()
-///     .workers(2)
-///     .buckets(32)
-///     .build::<u64, u64>();
-/// assert_eq!(service.backend().bucket_count(), 32);
-/// service.shutdown();
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct HashMapBuilder {
-    base: ServiceBuilder,
-    buckets: Option<usize>,
-}
-
-impl HashMapBuilder {
-    /// Defaults: [`ServiceBuilder`]'s, with
-    /// [`DEFAULT_BUCKETS`](lf_map::DEFAULT_BUCKETS) buckets.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of lane workers (≥ 1). One submission lane per worker.
-    pub fn workers(mut self, n: usize) -> Self {
-        self.base = self.base.workers(n);
-        self
-    }
-
-    /// Per-lane queue capacity (rounded up to a power of two, ≥ 2).
-    pub fn queue_capacity(mut self, cap: usize) -> Self {
-        self.base = self.base.queue_capacity(cap);
-        self
-    }
-
-    /// Maximum requests a worker executes per drained batch (≥ 1).
-    pub fn batch_max(mut self, n: usize) -> Self {
-        self.base = self.base.batch_max(n);
-        self
-    }
-
-    /// What submissions do when a lane is full.
-    pub fn policy(mut self, p: BackpressurePolicy) -> Self {
-        self.base = self.base.policy(p);
-        self
-    }
-
-    /// Enable the stall watchdog; see [`ServiceBuilder::watchdog`].
-    pub fn watchdog(mut self, deadline: Duration) -> Self {
-        self.base = self.base.watchdog(deadline);
-        self
-    }
-
-    /// Flight-recorder dump path; see [`ServiceBuilder::watchdog_dump`].
-    pub fn watchdog_dump(mut self, path: impl Into<std::path::PathBuf>) -> Self {
-        self.base = self.base.watchdog_dump(path);
-        self
-    }
-
-    /// Bucket count (rounded up to a power of two, ≥ 1). Defaults to
-    /// [`DEFAULT_BUCKETS`](lf_map::DEFAULT_BUCKETS).
-    pub fn buckets(mut self, n: usize) -> Self {
-        self.buckets = Some(n.max(1).next_power_of_two());
-        self
-    }
-
-    /// Build the hash-map service and start its workers.
-    pub fn build<K, V>(self) -> AsyncHashMap<K, V>
-    where
-        K: Ord + std::hash::Hash + Clone + Send + Sync + 'static,
-        V: Clone + Send + Sync + 'static,
-    {
-        let buckets = self.buckets.unwrap_or(lf_map::DEFAULT_BUCKETS);
-        self.base.build(BucketMap::new(buckets))
-    }
-}
-
 /// An async serving façade over one lock-free structure.
 ///
 /// Operations return [`OpFuture`]s that are `Send` (tasks may migrate
 /// executor threads between polls) and never hold an epoch guard across
 /// an `.await`: all structure access happens on the lane workers.
-pub struct Service<B: AsyncBackend> {
-    shared: Arc<Shared<B>>,
+pub struct Service<D: Dict> {
+    shared: Arc<Shared<D>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     /// Live while the service is, when enabled via
     /// [`ServiceBuilder::watchdog`]; its monitor thread stops on drop.
@@ -705,29 +545,29 @@ pub type AsyncList<K, V, R = lf_reclaim::Ebr> = Service<FrList<K, V, R>>;
 /// A [`Service`] over [`SkipList`] (backend-generic like
 /// [`AsyncList`]).
 pub type AsyncSkipList<K, V, R = lf_reclaim::Ebr> = Service<SkipList<K, V, R>>;
-/// A [`Service`] over a [`ShardedSkipList`], lanes affine to shards;
-/// built by [`ShardedBuilder`] (backend-generic like [`AsyncList`]).
+/// A [`Service`] over a [`ShardedSkipList`], lanes affine to shards
+/// (backend-generic like [`AsyncList`]):
+/// `ServiceBuilder::new().workers(2).build(ShardedSkipList::new(4))`.
 pub type AsyncShardedMap<K, V, R = lf_reclaim::Ebr> = Service<ShardedSkipList<K, V, R>>;
 /// A [`Service`] over an `lf-map` [`BucketMap`], lanes affine to
-/// buckets; built by [`HashMapBuilder`] (backend-generic like
-/// [`AsyncList`] — construct non-default backends with
-/// [`ServiceBuilder::build`] over a pre-built map).
+/// buckets (backend-generic like [`AsyncList`]):
+/// `ServiceBuilder::new().build(BucketMap::default())`.
 pub type AsyncHashMap<K, V, R = lf_reclaim::Ebr> = Service<BucketMap<K, V, R>>;
 
-impl<B: AsyncBackend> Service<B> {
+impl<D: Dict> Service<D> {
     /// Look up `key` (clone of the value).
-    pub fn get(&self, key: B::Key) -> OpFuture<B> {
+    pub fn get(&self, key: D::Key) -> OpFuture<D> {
         self.op(Request::Get(key))
     }
 
     /// Membership test.
-    pub fn contains(&self, key: B::Key) -> OpFuture<B> {
+    pub fn contains(&self, key: D::Key) -> OpFuture<D> {
         self.op(Request::Contains(key))
     }
 
     /// Insert `key → value`; resolves to `Response::Inserted(false)` on
     /// a duplicate key.
-    pub fn insert(&self, key: B::Key, value: B::Value) -> OpFuture<B> {
+    pub fn insert(&self, key: D::Key, value: D::Value) -> OpFuture<D> {
         self.op(Request::Insert(key, value))
     }
 
@@ -739,12 +579,12 @@ impl<B: AsyncBackend> Service<B> {
     /// `Response::Inserted(true)` once an insert round won, or
     /// `Inserted(false)` if the bounded budget ran out racing direct
     /// synchronous-handle writers of the same key.
-    pub fn upsert(&self, key: B::Key, value: B::Value) -> OpFuture<B> {
+    pub fn upsert(&self, key: D::Key, value: D::Value) -> OpFuture<D> {
         self.op(Request::Upsert(key, value))
     }
 
     /// Remove `key`, resolving to the removed value.
-    pub fn remove(&self, key: B::Key) -> OpFuture<B> {
+    pub fn remove(&self, key: D::Key) -> OpFuture<D> {
         self.op(Request::Remove(key))
     }
 
@@ -755,14 +595,14 @@ impl<B: AsyncBackend> Service<B> {
     /// `Ok(None)` if absent. No epoch guard is held across any
     /// `.await`: the visitor runs synchronously inside the worker's
     /// `apply`, and the future owns only the result slot.
-    pub fn get_with<R, F>(&self, key: B::Key, f: F) -> GetWithFuture<B, R>
+    pub fn get_with<R, F>(&self, key: D::Key, f: F) -> GetWithFuture<D, R>
     where
         R: Send + 'static,
-        F: FnOnce(&B::Value) -> R + Send + 'static,
+        F: FnOnce(&D::Value) -> R + Send + 'static,
     {
         let slot: Arc<Mutex<Option<R>>> = Arc::new(Mutex::new(None));
         let out = Arc::clone(&slot);
-        let visitor: GetWithVisitor<B::Value> = Box::new(move |v| {
+        let visitor: GetWithVisitor<D::Value> = Box::new(move |v| {
             if let Some(v) = v {
                 *out.lock().unwrap_or_else(|e| e.into_inner()) = Some(f(v));
             }
@@ -780,22 +620,24 @@ impl<B: AsyncBackend> Service<B> {
     /// a guard — and cloned into the future's slot. Only meaningful
     /// when [`supports_scan`](Service::supports_scan) is true; hash
     /// tiers resolve to an empty page.
-    pub fn scan(&self, after: Option<B::Key>, limit: usize) -> ScanFuture<B> {
-        let slot: ScanSlot<B::Key, B::Value> = Arc::new(Mutex::new(Vec::new()));
+    pub fn scan(&self, after: Option<D::Key>, limit: usize) -> ScanFuture<D> {
+        let slot: ScanSlot<D::Key, D::Value> = Arc::new(Mutex::new(Vec::new()));
         ScanFuture {
             inner: self.op(Request::Scan(after, limit, Arc::clone(&slot))),
             slot,
         }
     }
 
-    /// Whether the backend serves ordered scans; see
-    /// [`AsyncBackend::supports_scan`].
+    /// Whether the structure serves ordered scans; see
+    /// [`Dict::ordered`]. Hash tiers do not, so callers (the wire
+    /// server) refuse SCAN up front instead of enqueueing a request
+    /// the worker would answer with an empty page.
     pub fn supports_scan(&self) -> bool {
-        self.shared.backend.supports_scan()
+        self.shared.backend.ordered()
     }
 
     /// Submit any [`Request`].
-    pub fn op(&self, req: Request<B::Key, B::Value>) -> OpFuture<B> {
+    pub fn op(&self, req: Request<D::Key, D::Value>) -> OpFuture<D> {
         OpFuture {
             shared: Arc::clone(&self.shared),
             state: FutState::Unsubmitted(Some(req)),
@@ -870,7 +712,7 @@ impl<B: AsyncBackend> Service<B> {
 
     /// The backend structure this service fronts (e.g. for a
     /// [`ShardedSkipList`]'s per-shard snapshot).
-    pub fn backend(&self) -> &B {
+    pub fn backend(&self) -> &D {
         &self.shared.backend
     }
 
@@ -905,13 +747,13 @@ impl<B: AsyncBackend> Service<B> {
     }
 }
 
-impl<B: AsyncBackend> Drop for Service<B> {
+impl<D: Dict> Drop for Service<D> {
     fn drop(&mut self) {
         self.shutdown();
     }
 }
 
-impl<B: AsyncBackend> std::fmt::Debug for Service<B> {
+impl<D: Dict> std::fmt::Debug for Service<D> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Service")
             .field("lanes", &self.shared.lanes.len())
@@ -945,16 +787,16 @@ enum FutState<K, V> {
 /// lazily on first poll; dropping the future at any point leaks
 /// nothing (a queued request may still execute — it is simply
 /// *detached*, and its result is discarded with the cell).
-pub struct OpFuture<B: AsyncBackend> {
-    shared: Arc<Shared<B>>,
-    state: FutState<B::Key, B::Value>,
+pub struct OpFuture<D: Dict> {
+    shared: Arc<Shared<D>>,
+    state: FutState<D::Key, D::Value>,
     /// Preferred lane when the backend expresses no affinity of its
     /// own; see [`LaneFuture::pin_lane`].
     lane_hint: Option<usize>,
 }
 
 // The future holds no self-references — pinning is structural only.
-impl<B: AsyncBackend> Unpin for OpFuture<B> {}
+impl<D: Dict> Unpin for OpFuture<D> {}
 
 /// The shared submission surface of the service's future types: route
 /// a request to a chosen lane before it enqueues, and observe whether
@@ -969,9 +811,9 @@ impl<B: AsyncBackend> Unpin for OpFuture<B> {}
 /// a full ring bounces a poll under [`BackpressurePolicy::Block`].
 pub trait LaneFuture: Future {
     /// Prefer `lane` (modulo the lane count) for this request whenever
-    /// the backend expresses no affinity of its own
-    /// ([`AsyncBackend::lane_for`] returning `None`). Backend affinity
-    /// always wins: on partitioned backends the hint is ignored for
+    /// the structure expresses no affinity of its own
+    /// ([`Dict::partition_of`] returning `None`). Partition affinity
+    /// always wins: on partitioned structures the hint is ignored for
     /// keyed requests, so pinning is safe to apply unconditionally.
     /// No effect once the request has enqueued.
     fn pin_lane(self, lane: usize) -> Self
@@ -985,7 +827,7 @@ pub trait LaneFuture: Future {
     fn is_enqueued(&self) -> bool;
 }
 
-impl<B: AsyncBackend> LaneFuture for OpFuture<B> {
+impl<D: Dict> LaneFuture for OpFuture<D> {
     fn pin_lane(mut self, lane: usize) -> Self {
         self.lane_hint = Some(lane);
         self
@@ -996,8 +838,8 @@ impl<B: AsyncBackend> LaneFuture for OpFuture<B> {
     }
 }
 
-impl<B: AsyncBackend> Future for OpFuture<B> {
-    type Output = Result<Response<B::Value>, Error>;
+impl<D: Dict> Future for OpFuture<D> {
+    type Output = Result<Response<D::Value>, Error>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
@@ -1039,15 +881,15 @@ impl<B: AsyncBackend> Future for OpFuture<B> {
 /// (visitor ran, produced `r`), `Ok(None)` when absent. `Send` for the
 /// same reason `OpFuture` is: no guard, no handle, no borrow — only
 /// the cell and the slot.
-pub struct GetWithFuture<B: AsyncBackend, R> {
-    inner: OpFuture<B>,
+pub struct GetWithFuture<D: Dict, R> {
+    inner: OpFuture<D>,
     slot: Arc<Mutex<Option<R>>>,
 }
 
 // No self-references — pinning is structural only, as for `OpFuture`.
-impl<B: AsyncBackend, R> Unpin for GetWithFuture<B, R> {}
+impl<D: Dict, R> Unpin for GetWithFuture<D, R> {}
 
-impl<B: AsyncBackend, R> LaneFuture for GetWithFuture<B, R> {
+impl<D: Dict, R> LaneFuture for GetWithFuture<D, R> {
     fn pin_lane(mut self, lane: usize) -> Self {
         self.inner = self.inner.pin_lane(lane);
         self
@@ -1058,7 +900,7 @@ impl<B: AsyncBackend, R> LaneFuture for GetWithFuture<B, R> {
     }
 }
 
-impl<B: AsyncBackend, R> Future for GetWithFuture<B, R> {
+impl<D: Dict, R> Future for GetWithFuture<D, R> {
     type Output = Result<Option<R>, Error>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
@@ -1084,15 +926,15 @@ impl<B: AsyncBackend, R> Future for GetWithFuture<B, R> {
 /// page of cloned pairs. Resolves to the pairs in ascending key order.
 /// `Send` for the same reason `OpFuture` is: no guard, no handle, no
 /// borrow — only the cell and the slot.
-pub struct ScanFuture<B: AsyncBackend> {
-    inner: OpFuture<B>,
-    slot: ScanSlot<B::Key, B::Value>,
+pub struct ScanFuture<D: Dict> {
+    inner: OpFuture<D>,
+    slot: ScanSlot<D::Key, D::Value>,
 }
 
 // No self-references — pinning is structural only, as for `OpFuture`.
-impl<B: AsyncBackend> Unpin for ScanFuture<B> {}
+impl<D: Dict> Unpin for ScanFuture<D> {}
 
-impl<B: AsyncBackend> LaneFuture for ScanFuture<B> {
+impl<D: Dict> LaneFuture for ScanFuture<D> {
     fn pin_lane(mut self, lane: usize) -> Self {
         self.inner = self.inner.pin_lane(lane);
         self
@@ -1103,8 +945,8 @@ impl<B: AsyncBackend> LaneFuture for ScanFuture<B> {
     }
 }
 
-impl<B: AsyncBackend> Future for ScanFuture<B> {
-    type Output = Result<Vec<(B::Key, B::Value)>, Error>;
+impl<D: Dict> Future for ScanFuture<D> {
+    type Output = Result<Vec<(D::Key, D::Value)>, Error>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();

@@ -15,10 +15,11 @@ use std::sync::atomic::{AtomicIsize, Ordering};
 use std::task::{Context, Poll};
 
 use lf_async::{
-    AsyncHashMap, AsyncList, AsyncShardedMap, BackpressurePolicy, HashMapBuilder, Response,
-    ServiceBuilder, ShardedBuilder,
+    AsyncHashMap, AsyncList, AsyncShardedMap, BackpressurePolicy, Response, ServiceBuilder,
 };
+use lf_map::BucketMap;
 use lf_sched::rt;
+use lf_shard::ShardedSkipList;
 
 /// A value whose population is counted against a per-test counter
 /// (tests run in parallel; a shared counter would cross-talk).
@@ -175,7 +176,9 @@ fn idle_workers_do_not_pin_garbage() {
 #[test]
 fn sharded_futures_are_send() {
     fn assert_send<T: Send>(_: &T) {}
-    let service: AsyncShardedMap<u64, String> = ShardedBuilder::new().workers(2).shards(4).build();
+    let service: AsyncShardedMap<u64, String> = ServiceBuilder::new()
+        .workers(2)
+        .build(ShardedSkipList::new(4));
     let fut = service.get(1);
     assert_send(&fut);
     let gw = service.get_with(1, |v: &String| v.len());
@@ -197,13 +200,12 @@ fn sharded_dropped_futures_leak_nothing() {
     static LIVE: AtomicIsize = AtomicIsize::new(0);
     let keys: u64 = if cfg!(miri) { 16 } else { 200 };
     {
-        let service: AsyncShardedMap<u64, Counted> = ShardedBuilder::new()
+        let service: AsyncShardedMap<u64, Counted> = ServiceBuilder::new()
             .workers(2)
-            .shards(8)
             .queue_capacity(64)
             .batch_max(8)
             .policy(BackpressurePolicy::Block)
-            .build();
+            .build(ShardedSkipList::new(8));
 
         rt::block_on(async {
             for k in 0..keys {
@@ -272,7 +274,8 @@ fn sharded_dropped_futures_leak_nothing() {
 #[test]
 fn hash_map_futures_are_send() {
     fn assert_send<T: Send>(_: &T) {}
-    let service: AsyncHashMap<u64, String> = HashMapBuilder::new().workers(2).buckets(16).build();
+    let service: AsyncHashMap<u64, String> =
+        ServiceBuilder::new().workers(2).build(BucketMap::new(16));
     let fut = service.get(1);
     assert_send(&fut);
     let gw = service.get_with(1, |v: &String| v.len());
@@ -294,13 +297,12 @@ fn hash_map_dropped_futures_leak_nothing() {
     static LIVE: AtomicIsize = AtomicIsize::new(0);
     let keys: u64 = if cfg!(miri) { 16 } else { 200 };
     {
-        let service: AsyncHashMap<u64, Counted> = HashMapBuilder::new()
+        let service: AsyncHashMap<u64, Counted> = ServiceBuilder::new()
             .workers(2)
-            .buckets(16)
             .queue_capacity(64)
             .batch_max(8)
             .policy(BackpressurePolicy::Block)
-            .build();
+            .build(BucketMap::new(16));
 
         rt::block_on(async {
             for k in 0..keys {

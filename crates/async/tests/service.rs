@@ -1,8 +1,8 @@
 //! End-to-end service semantics: backpressure policies, graceful
 //! shutdown, and waker delivery under concurrent load.
 //!
-//! Determinism trick: a `GatedMap` backend whose `apply` blocks on a
-//! gate. With `batch_max(1)` the single worker pops exactly one
+//! Determinism trick: a `GatedMap` dictionary whose operations block
+//! on a gate. With `batch_max(1)` the single worker pops exactly one
 //! request and parks inside it, so tests control precisely which
 //! requests are in-flight versus still queued when shutdown (or a
 //! policy decision) happens.
@@ -14,8 +14,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::task::{Context, Poll};
 
 use lf_async::{
-    AsyncBackend, BackendHandle, BackpressurePolicy, Error, Request, Response, Service,
-    ServiceBuilder,
+    BackpressurePolicy, Dict, DictHandle, Error, Request, Response, Service, ServiceBuilder,
 };
 use lf_core::FrList;
 use lf_sched::rt;
@@ -68,7 +67,7 @@ struct GatedHandle<'a> {
     gate: &'a Gate,
 }
 
-impl AsyncBackend for GatedMap {
+impl Dict for GatedMap {
     type Key = u64;
     type Value = u64;
     type Handle<'a> = GatedHandle<'a>;
@@ -85,10 +84,25 @@ impl AsyncBackend for GatedMap {
     }
 }
 
-impl BackendHandle<u64, u64> for GatedHandle<'_> {
-    fn apply(&self, req: Request<u64, u64>) -> Response<u64> {
+impl DictHandle<u64, u64> for GatedHandle<'_> {
+    fn get(&self, key: &u64) -> Option<u64> {
         self.gate.pass();
-        self.inner.apply(req)
+        self.inner.get(key)
+    }
+
+    fn contains(&self, key: &u64) -> bool {
+        self.gate.pass();
+        self.inner.contains(key)
+    }
+
+    fn insert(&self, key: u64, value: u64) -> bool {
+        self.gate.pass();
+        self.inner.insert(key, value).is_ok()
+    }
+
+    fn remove(&self, key: &u64) -> Option<u64> {
+        self.gate.pass();
+        self.inner.remove(key)
     }
 
     fn amortize_pins(&self, every: u32) {

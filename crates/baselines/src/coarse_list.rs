@@ -196,6 +196,47 @@ impl<K, V> Drop for CoarseLockList<K, V> {
     }
 }
 
+/// The structure is its own handle: every operation takes the lock.
+impl<K, V> lf_core::Dict for CoarseLockList<K, V>
+where
+    K: Ord + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+{
+    type Key = K;
+    type Value = V;
+    type Handle<'a> = &'a CoarseLockList<K, V>;
+
+    fn handle(&self) -> Self::Handle<'_> {
+        self
+    }
+
+    fn len(&self) -> usize {
+        CoarseLockList::len(self)
+    }
+}
+
+impl<K, V> lf_core::DictHandle<K, V> for &CoarseLockList<K, V>
+where
+    K: Ord + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+{
+    fn get(&self, key: &K) -> Option<V> {
+        CoarseLockList::get(self, key)
+    }
+
+    fn contains(&self, key: &K) -> bool {
+        CoarseLockList::contains(self, key)
+    }
+
+    fn insert(&self, key: K, value: V) -> bool {
+        CoarseLockList::insert(self, key, value)
+    }
+
+    fn remove(&self, key: &K) -> Option<V> {
+        CoarseLockList::remove(self, key)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -384,6 +384,46 @@ where
     }
 }
 
+impl<K, V> lf_core::Dict for HarrisList<K, V>
+where
+    K: Ord + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+{
+    type Key = K;
+    type Value = V;
+    type Handle<'a> = HarrisHandle<'a, K, V>;
+
+    fn handle(&self) -> Self::Handle<'_> {
+        HarrisList::handle(self)
+    }
+
+    fn len(&self) -> usize {
+        HarrisList::len(self)
+    }
+}
+
+impl<K, V> lf_core::DictHandle<K, V> for HarrisHandle<'_, K, V>
+where
+    K: Ord + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+{
+    fn get(&self, key: &K) -> Option<V> {
+        HarrisHandle::get(self, key)
+    }
+
+    fn contains(&self, key: &K) -> bool {
+        HarrisHandle::contains(self, key)
+    }
+
+    fn insert(&self, key: K, value: V) -> bool {
+        HarrisHandle::insert(self, key, value)
+    }
+
+    fn remove(&self, key: &K) -> Option<V> {
+        HarrisHandle::remove(self, key)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

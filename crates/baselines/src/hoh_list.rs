@@ -216,6 +216,47 @@ impl<K, V> Drop for HohLockList<K, V> {
     }
 }
 
+/// The structure is its own handle: every operation takes the lock.
+impl<K, V> lf_core::Dict for HohLockList<K, V>
+where
+    K: Ord + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+{
+    type Key = K;
+    type Value = V;
+    type Handle<'a> = &'a HohLockList<K, V>;
+
+    fn handle(&self) -> Self::Handle<'_> {
+        self
+    }
+
+    fn len(&self) -> usize {
+        HohLockList::len(self)
+    }
+}
+
+impl<K, V> lf_core::DictHandle<K, V> for &HohLockList<K, V>
+where
+    K: Ord + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+{
+    fn get(&self, key: &K) -> Option<V> {
+        HohLockList::get(self, key)
+    }
+
+    fn contains(&self, key: &K) -> bool {
+        HohLockList::contains(self, key)
+    }
+
+    fn insert(&self, key: K, value: V) -> bool {
+        HohLockList::insert(self, key, value)
+    }
+
+    fn remove(&self, key: &K) -> Option<V> {
+        HohLockList::remove(self, key)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -98,6 +98,47 @@ impl<K: Ord + Send + Sync, V: Send + Sync> LockSkipList<K, V> {
     }
 }
 
+/// The structure is its own handle: every operation takes the lock.
+impl<K, V> lf_core::Dict for LockSkipList<K, V>
+where
+    K: Ord + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+{
+    type Key = K;
+    type Value = V;
+    type Handle<'a> = &'a LockSkipList<K, V>;
+
+    fn handle(&self) -> Self::Handle<'_> {
+        self
+    }
+
+    fn len(&self) -> usize {
+        LockSkipList::len(self)
+    }
+}
+
+impl<K, V> lf_core::DictHandle<K, V> for &LockSkipList<K, V>
+where
+    K: Ord + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+{
+    fn get(&self, key: &K) -> Option<V> {
+        LockSkipList::get(self, key)
+    }
+
+    fn contains(&self, key: &K) -> bool {
+        LockSkipList::contains(self, key)
+    }
+
+    fn insert(&self, key: K, value: V) -> bool {
+        LockSkipList::insert(self, key, value)
+    }
+
+    fn remove(&self, key: &K) -> Option<V> {
+        LockSkipList::remove(self, key)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -354,6 +354,46 @@ where
     }
 }
 
+impl<K, V> lf_core::Dict for MichaelList<K, V>
+where
+    K: Ord + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+{
+    type Key = K;
+    type Value = V;
+    type Handle<'a> = MichaelHandle<'a, K, V>;
+
+    fn handle(&self) -> Self::Handle<'_> {
+        MichaelList::handle(self)
+    }
+
+    fn len(&self) -> usize {
+        MichaelList::len(self)
+    }
+}
+
+impl<K, V> lf_core::DictHandle<K, V> for MichaelHandle<'_, K, V>
+where
+    K: Ord + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+{
+    fn get(&self, key: &K) -> Option<V> {
+        MichaelHandle::get(self, key)
+    }
+
+    fn contains(&self, key: &K) -> bool {
+        MichaelHandle::contains(self, key)
+    }
+
+    fn insert(&self, key: K, value: V) -> bool {
+        MichaelHandle::insert(self, key, value)
+    }
+
+    fn remove(&self, key: &K) -> Option<V> {
+        MichaelHandle::remove(self, key)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

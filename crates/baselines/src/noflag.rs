@@ -434,6 +434,46 @@ where
     }
 }
 
+impl<K, V> lf_core::Dict for NoFlagList<K, V>
+where
+    K: Ord + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+{
+    type Key = K;
+    type Value = V;
+    type Handle<'a> = NoFlagHandle<'a, K, V>;
+
+    fn handle(&self) -> Self::Handle<'_> {
+        NoFlagList::handle(self)
+    }
+
+    fn len(&self) -> usize {
+        NoFlagList::len(self)
+    }
+}
+
+impl<K, V> lf_core::DictHandle<K, V> for NoFlagHandle<'_, K, V>
+where
+    K: Ord + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+{
+    fn get(&self, key: &K) -> Option<V> {
+        NoFlagHandle::get(self, key)
+    }
+
+    fn contains(&self, key: &K) -> bool {
+        NoFlagHandle::contains(self, key)
+    }
+
+    fn insert(&self, key: K, value: V) -> bool {
+        NoFlagHandle::insert(self, key, value)
+    }
+
+    fn remove(&self, key: &K) -> Option<V> {
+        NoFlagHandle::remove(self, key)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -722,6 +722,46 @@ where
     }
 }
 
+impl<K, V> lf_core::Dict for RestartSkipList<K, V>
+where
+    K: Ord + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+{
+    type Key = K;
+    type Value = V;
+    type Handle<'a> = RestartHandle<'a, K, V>;
+
+    fn handle(&self) -> Self::Handle<'_> {
+        RestartSkipList::handle(self)
+    }
+
+    fn len(&self) -> usize {
+        RestartSkipList::len(self)
+    }
+}
+
+impl<K, V> lf_core::DictHandle<K, V> for RestartHandle<'_, K, V>
+where
+    K: Ord + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+{
+    fn get(&self, key: &K) -> Option<V> {
+        RestartHandle::get(self, key)
+    }
+
+    fn contains(&self, key: &K) -> bool {
+        RestartHandle::contains(self, key)
+    }
+
+    fn insert(&self, key: K, value: V) -> bool {
+        RestartHandle::insert(self, key, value)
+    }
+
+    fn remove(&self, key: &K) -> Option<V> {
+        RestartHandle::remove(self, key)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

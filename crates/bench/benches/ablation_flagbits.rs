@@ -6,18 +6,17 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use lf_baselines::NoFlagList;
-use lf_bench::adapters::{BenchMap, MapHandle};
-use lf_core::FrList;
-use lf_workloads::{KeyDist, Mix, OpKind, WorkloadIter};
+use lf_bench::{apply_op, Lookup};
+use lf_core::{Dict, DictHandle, FrList};
+use lf_workloads::{KeyDist, Mix, WorkloadIter};
 
 const BATCH: u64 = 1_000;
 
-fn batch<M: BenchMap>() -> impl FnMut() {
-    let map = M::create();
+fn batch<D: Dict<Key = u64, Value = u64>>(map: D) -> impl FnMut() {
     {
-        let h = map.bench_handle();
+        let h = map.handle();
         for k in (0..512).step_by(2) {
-            h.insert(k);
+            h.insert(k, k);
         }
     }
     let mut w = WorkloadIter::new(
@@ -29,15 +28,9 @@ fn batch<M: BenchMap>() -> impl FnMut() {
         13,
     );
     move || {
-        let h = map.bench_handle();
+        let h = map.handle();
         for _ in 0..BATCH {
-            let op = w.next_op();
-            let r = match op.kind {
-                OpKind::Insert => h.insert(op.key),
-                OpKind::Remove => h.remove(op.key),
-                OpKind::Search => h.search(op.key),
-            };
-            black_box(r);
+            black_box(apply_op(&h, w.next_op(), Lookup::Contains));
         }
     }
 }
@@ -45,11 +38,11 @@ fn batch<M: BenchMap>() -> impl FnMut() {
 fn bench_ablation(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_flagbits");
     g.sample_size(10);
-    let mut fr = batch::<FrList<u64, u64>>();
+    let mut fr = batch(FrList::new());
     g.bench_function(BenchmarkId::new("fr-list", "tail-churn"), |b| {
         b.iter(&mut fr)
     });
-    let mut nf = batch::<NoFlagList<u64, u64>>();
+    let mut nf = batch(NoFlagList::new());
     g.bench_function(BenchmarkId::new("noflag-list", "tail-churn"), |b| {
         b.iter(&mut nf)
     });

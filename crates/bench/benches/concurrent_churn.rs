@@ -6,21 +6,25 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use lf_baselines::{CoarseLockList, HarrisList, LockSkipList, RestartSkipList};
-use lf_bench::adapters::{BenchMap, MapHandle};
-use lf_core::{FrList, SkipList};
-use lf_workloads::{KeyDist, Mix, OpKind, WorkloadIter};
+use lf_bench::{apply_op, Lookup};
+use lf_core::{Dict, DictHandle, FrList, SkipList};
+use lf_workloads::{KeyDist, Mix, WorkloadIter};
 
 const THREADS: usize = 4;
 const OPS_PER_THREAD: u64 = 2_000;
 
-fn timed_run<M: BenchMap>(space: u64, iters: u64) -> Duration {
+fn timed_run<D: Dict<Key = u64, Value = u64>>(
+    make: impl Fn() -> D,
+    space: u64,
+    iters: u64,
+) -> Duration {
     let mut total = Duration::ZERO;
     for round in 0..iters {
-        let map = M::create();
+        let map = make();
         {
-            let h = map.bench_handle();
+            let h = map.handle();
             for k in (0..space).step_by(4) {
-                h.insert(k);
+                h.insert(k, k);
             }
         }
         let barrier = std::sync::Barrier::new(THREADS + 1);
@@ -31,16 +35,11 @@ fn timed_run<M: BenchMap>(space: u64, iters: u64) -> Duration {
                 let barrier = &barrier;
                 let seed = round * 131 + t as u64;
                 s.spawn(move || {
-                    let h = map.bench_handle();
+                    let h = map.handle();
                     let mut w = WorkloadIter::new(Mix::CHURN, KeyDist::Uniform { space }, seed);
                     barrier.wait();
                     for _ in 0..OPS_PER_THREAD {
-                        let op = w.next_op();
-                        match op.kind {
-                            OpKind::Insert => h.insert(op.key),
-                            OpKind::Remove => h.remove(op.key),
-                            OpKind::Search => h.search(op.key),
-                        };
+                        apply_op(&h, w.next_op(), Lookup::Contains);
                     }
                 });
             }
@@ -57,18 +56,18 @@ fn bench_concurrent(c: &mut Criterion) {
     g.sample_size(10);
 
     macro_rules! one {
-        ($ty:ty, $space:expr) => {{
-            g.bench_function(BenchmarkId::new(<$ty>::name(), $space), |b| {
-                b.iter_custom(|iters| timed_run::<$ty>($space, iters))
+        ($name:literal, $make:expr, $space:expr) => {{
+            g.bench_function(BenchmarkId::new($name, $space), |b| {
+                b.iter_custom(|iters| timed_run($make, $space, iters))
             });
         }};
     }
-    one!(FrList<u64, u64>, 512u64);
-    one!(HarrisList<u64, u64>, 512u64);
-    one!(CoarseLockList<u64, u64>, 512u64);
-    one!(SkipList<u64, u64>, 8_192u64);
-    one!(RestartSkipList<u64, u64>, 8_192u64);
-    one!(LockSkipList<u64, u64>, 8_192u64);
+    one!("fr-list", FrList::new, 512u64);
+    one!("harris-list", HarrisList::new, 512u64);
+    one!("coarse-lock-list", CoarseLockList::new, 512u64);
+    one!("fr-skiplist", SkipList::new, 8_192u64);
+    one!("restart-skiplist", RestartSkipList::new, 8_192u64);
+    one!("lock-skiplist", LockSkipList::new, 8_192u64);
     g.finish();
 }
 

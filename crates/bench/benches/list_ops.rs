@@ -9,31 +9,24 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use lf_baselines::{CoarseLockList, HarrisList, HohLockList, MichaelList, NoFlagList};
-use lf_bench::adapters::{BenchMap, MapHandle};
-use lf_core::FrList;
-use lf_workloads::{KeyDist, Mix, OpKind, WorkloadIter};
+use lf_bench::{apply_op, Lookup};
+use lf_core::{Dict, DictHandle, FrList};
+use lf_workloads::{KeyDist, Mix, WorkloadIter};
 
 const BATCH: u64 = 1_000;
 
-fn batch<M: BenchMap>(n: u64) -> impl FnMut() {
-    let map = M::create();
+fn batch<D: Dict<Key = u64, Value = u64>>(map: D, n: u64) -> impl FnMut() {
     {
-        let h = map.bench_handle();
+        let h = map.handle();
         for k in (0..2 * n).step_by(2) {
-            h.insert(k);
+            h.insert(k, k);
         }
     }
     let mut w = WorkloadIter::new(Mix::UPDATE_HEAVY, KeyDist::Uniform { space: 2 * n }, 7);
     move || {
-        let h = map.bench_handle();
+        let h = map.handle();
         for _ in 0..BATCH {
-            let op = w.next_op();
-            let r = match op.kind {
-                OpKind::Insert => h.insert(op.key),
-                OpKind::Remove => h.remove(op.key),
-                OpKind::Search => h.search(op.key),
-            };
-            black_box(r);
+            black_box(apply_op(&h, w.next_op(), Lookup::Contains));
         }
     }
 }
@@ -43,17 +36,17 @@ fn bench_lists(c: &mut Criterion) {
     g.sample_size(10);
     for n in [128u64, 512] {
         macro_rules! one {
-            ($ty:ty) => {{
-                let mut f = batch::<$ty>(n);
-                g.bench_function(BenchmarkId::new(<$ty>::name(), n), |b| b.iter(&mut f));
+            ($name:literal, $map:expr) => {{
+                let mut f = batch($map, n);
+                g.bench_function(BenchmarkId::new($name, n), |b| b.iter(&mut f));
             }};
         }
-        one!(FrList<u64, u64>);
-        one!(HarrisList<u64, u64>);
-        one!(MichaelList<u64, u64>);
-        one!(NoFlagList<u64, u64>);
-        one!(CoarseLockList<u64, u64>);
-        one!(HohLockList<u64, u64>);
+        one!("fr-list", FrList::new());
+        one!("harris-list", HarrisList::new());
+        one!("michael-list", MichaelList::new());
+        one!("noflag-list", NoFlagList::new());
+        one!("coarse-lock-list", CoarseLockList::new());
+        one!("hoh-lock-list", HohLockList::new());
     }
     g.finish();
 }

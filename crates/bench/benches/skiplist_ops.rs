@@ -5,31 +5,24 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use lf_baselines::{LockSkipList, RestartSkipList};
-use lf_bench::adapters::{BenchMap, MapHandle};
-use lf_core::SkipList;
-use lf_workloads::{KeyDist, Mix, OpKind, WorkloadIter};
+use lf_bench::{apply_op, Lookup};
+use lf_core::{Dict, DictHandle, SkipList};
+use lf_workloads::{KeyDist, Mix, WorkloadIter};
 
 const BATCH: u64 = 1_000;
 
-fn batch<M: BenchMap>(n: u64, mix: Mix) -> impl FnMut() {
-    let map = M::create();
+fn batch<D: Dict<Key = u64, Value = u64>>(map: D, n: u64, mix: Mix) -> impl FnMut() {
     {
-        let h = map.bench_handle();
+        let h = map.handle();
         for k in (0..2 * n).step_by(2) {
-            h.insert(k);
+            h.insert(k, k);
         }
     }
     let mut w = WorkloadIter::new(mix, KeyDist::Uniform { space: 2 * n }, 11);
     move || {
-        let h = map.bench_handle();
+        let h = map.handle();
         for _ in 0..BATCH {
-            let op = w.next_op();
-            let r = match op.kind {
-                OpKind::Insert => h.insert(op.key),
-                OpKind::Remove => h.remove(op.key),
-                OpKind::Search => h.search(op.key),
-            };
-            black_box(r);
+            black_box(apply_op(&h, w.next_op(), Lookup::Contains));
         }
     }
 }
@@ -39,14 +32,14 @@ fn bench_skiplists(c: &mut Criterion) {
     g.sample_size(10);
     for n in [1_024u64, 8_192] {
         macro_rules! one {
-            ($ty:ty) => {{
-                let mut f = batch::<$ty>(n, Mix::UPDATE_HEAVY);
-                g.bench_function(BenchmarkId::new(<$ty>::name(), n), |b| b.iter(&mut f));
+            ($name:literal, $map:expr) => {{
+                let mut f = batch($map, n, Mix::UPDATE_HEAVY);
+                g.bench_function(BenchmarkId::new($name, n), |b| b.iter(&mut f));
             }};
         }
-        one!(SkipList<u64, u64>);
-        one!(RestartSkipList<u64, u64>);
-        one!(LockSkipList<u64, u64>);
+        one!("fr-skiplist", SkipList::new());
+        one!("restart-skiplist", RestartSkipList::new());
+        one!("lock-skiplist", LockSkipList::new());
     }
     g.finish();
 
@@ -54,7 +47,7 @@ fn bench_skiplists(c: &mut Criterion) {
     let mut g = c.benchmark_group("skiplist_search_scaling");
     g.sample_size(10);
     for n in [1_024u64, 4_096, 16_384, 65_536] {
-        let mut f = batch::<SkipList<u64, u64>>(n, Mix::new(0, 0, 100));
+        let mut f = batch(SkipList::new(), n, Mix::new(0, 0, 100));
         g.bench_function(BenchmarkId::new("fr-skiplist-search", n), |b| {
             b.iter(&mut f)
         });

@@ -18,86 +18,50 @@
 //! Prometheus text exposition format (pipe to a textfile collector or
 //! just read the quantiles).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use lf_core::{FrList, SkipList};
-use lf_workloads::{KeyDist, Mix, OpKind, WorkloadIter};
+use lf_bench::{apply_op, Lookup};
+use lf_core::{Dict, FrList, SkipList};
+use lf_workloads::{KeyDist, Mix, WorkloadIter};
 
-fn churn_round_list(seed: u64, threads: usize, ops: u64) -> (usize, u64) {
-    let list = FrList::<u64, u64>::new();
-    let total_ops = AtomicU64::new(0);
+/// `threads` workers each run `ops` update-heavy ops over `dist` on
+/// `map`; returns the op count.
+fn churn<D>(map: &D, dist: KeyDist, seed: u64, threads: usize, ops: u64) -> u64
+where
+    D: Dict<Key = u64, Value = u64>,
+{
     std::thread::scope(|s| {
         for t in 0..threads {
-            let list = &list;
-            let total_ops = &total_ops;
+            let dist = dist.clone();
             s.spawn(move || {
-                let h = list.handle();
-                let mut w = WorkloadIter::new(
-                    Mix::UPDATE_HEAVY,
-                    KeyDist::Uniform { space: 512 },
-                    seed ^ (t as u64).wrapping_mul(0x9E3779B97F4A7C15),
-                );
+                let h = map.handle();
+                let seed = seed ^ (t as u64).wrapping_mul(0x9E3779B97F4A7C15);
+                let mut w = WorkloadIter::new(Mix::UPDATE_HEAVY, dist, seed);
                 for _ in 0..ops {
-                    let op = w.next_op();
-                    match op.kind {
-                        OpKind::Insert => {
-                            let _ = h.insert(op.key, op.key);
-                        }
-                        OpKind::Remove => {
-                            let _ = h.remove(&op.key);
-                        }
-                        OpKind::Search => {
-                            let _ = h.contains(&op.key);
-                        }
-                    }
-                    total_ops.fetch_add(1, Ordering::Relaxed);
+                    apply_op(&h, w.next_op(), Lookup::Contains);
                 }
             });
         }
     });
+    threads as u64 * ops
+}
+
+fn churn_round_list(seed: u64, threads: usize, ops: u64) -> (usize, u64) {
+    let list = FrList::<u64, u64>::new();
+    let total = churn(&list, KeyDist::Uniform { space: 512 }, seed, threads, ops);
     list.validate_quiescent();
-    let h = list.handle();
-    let iter_count = h.iter().count();
+    let iter_count = list.handle().iter().count();
     assert_eq!(iter_count, list.len(), "iterator disagrees with len");
-    (iter_count, total_ops.load(Ordering::Relaxed))
+    (iter_count, total)
 }
 
 fn churn_round_skiplist(seed: u64, threads: usize, ops: u64) -> (usize, u64) {
     let sl = SkipList::<u64, u64>::new();
-    let total_ops = AtomicU64::new(0);
-    std::thread::scope(|s| {
-        for t in 0..threads {
-            let sl = &sl;
-            let total_ops = &total_ops;
-            s.spawn(move || {
-                let h = sl.handle();
-                let mut w = WorkloadIter::new(
-                    Mix::UPDATE_HEAVY,
-                    KeyDist::Zipfian {
-                        space: 1024,
-                        theta: 0.9,
-                    },
-                    seed ^ (t as u64).wrapping_mul(0xD1B54A32D192ED03),
-                );
-                for _ in 0..ops {
-                    let op = w.next_op();
-                    match op.kind {
-                        OpKind::Insert => {
-                            let _ = h.insert(op.key, op.key);
-                        }
-                        OpKind::Remove => {
-                            let _ = h.remove(&op.key);
-                        }
-                        OpKind::Search => {
-                            let _ = h.contains(&op.key);
-                        }
-                    }
-                    total_ops.fetch_add(1, Ordering::Relaxed);
-                }
-            });
-        }
-    });
+    let dist = KeyDist::Zipfian {
+        space: 1024,
+        theta: 0.9,
+    };
+    let total = churn(&sl, dist, seed, threads, ops);
     // Sweep leftovers a stalled helper may have abandoned, then check
     // every level.
     {
@@ -107,10 +71,9 @@ fn churn_round_skiplist(seed: u64, threads: usize, ops: u64) -> (usize, u64) {
         }
     }
     sl.validate_quiescent();
-    let h = sl.handle();
-    let iter_count = h.iter().count();
+    let iter_count = sl.handle().iter().count();
     assert_eq!(iter_count, sl.len(), "iterator disagrees with len");
-    (iter_count, total_ops.load(Ordering::Relaxed))
+    (iter_count, total)
 }
 
 fn main() {

@@ -10,7 +10,7 @@
 use lf_core::FrList;
 use lf_workloads::{KeyDist, Mix};
 
-use crate::runner::{run_mixed, RunConfig};
+use crate::runner::{run_mixed, Lookup, RunConfig};
 use crate::table::{fmt_f, Table};
 
 fn steps_per_op(n: u64, threads: usize, ops: u64) -> f64 {
@@ -22,7 +22,7 @@ fn steps_per_op(n: u64, threads: usize, ops: u64) -> f64 {
         seed: 0xE10,
         prefill: n,
     };
-    run_mixed::<FrList<u64, u64>>(&cfg).steps_per_op()
+    run_mixed(&FrList::<u64, u64>::new(), &cfg, Lookup::Contains).steps_per_op()
 }
 
 /// Print the grid.

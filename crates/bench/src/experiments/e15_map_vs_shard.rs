@@ -21,14 +21,14 @@
 //! against the committed baseline, but only warning on drift — shared
 //! runners are too noisy for a hard cross-structure gate).
 
+use lf_core::Dict;
 use lf_map::BucketMap;
 use lf_reclaim::{Ebr, Publish, Reclaim};
 use lf_shard::ShardedSkipList;
 use lf_vbr::Vbr;
 use lf_workloads::{KeyDist, Mix};
 
-use crate::adapters::{BenchMap, MapHandle};
-use crate::runner::{run_mixed, RunConfig, RunResult};
+use crate::runner::{run_mixed, Lookup, RunConfig, RunResult};
 use crate::table::{fmt_f, Table};
 
 /// Buckets for the hash-map tier. `DEFAULT_BUCKETS` (64) over the
@@ -41,120 +41,20 @@ const BUCKETS: usize = lf_map::DEFAULT_BUCKETS;
 /// contention is same-key CAS races that more shards cannot split.
 const SHARDS: usize = 8;
 
-/// The bucketed hash map pinned to one SMR backend, lookups via the
-/// pin-free `try_read` entry point.
-struct HashMapTier<R>(BucketMap<u64, u64, R>)
-where
-    R: Reclaim + Publish<u64> + 'static;
-
-struct HashMapTierHandle<'a, R>(lf_map::BucketMapHandle<'a, u64, u64, R>)
-where
-    R: Reclaim + Publish<u64> + 'static;
-
-impl<R> BenchMap for HashMapTier<R>
-where
-    R: Reclaim + Publish<u64> + 'static,
-{
-    type Handle<'a> = HashMapTierHandle<'a, R>;
-
-    fn create() -> Self {
-        HashMapTier(BucketMap::with_backend(BUCKETS))
-    }
-
-    fn bench_handle(&self) -> Self::Handle<'_> {
-        HashMapTierHandle(self.0.handle())
-    }
-
-    fn name() -> &'static str {
-        match R::NAME {
-            "ebr" => "fr-map-ebr",
-            "vbr" => "fr-map-vbr",
-            _ => "fr-map-smr",
-        }
-    }
-
-    fn peak_unreclaimed(&self) -> Option<u64> {
-        Some(R::gauge(self.0.domain()).peak_unreclaimed())
-    }
-}
-
-impl<R> MapHandle for HashMapTierHandle<'_, R>
-where
-    R: Reclaim + Publish<u64> + 'static,
-{
-    fn insert(&self, k: u64) -> bool {
-        self.0.insert(k, k).is_ok()
-    }
-
-    fn remove(&self, k: u64) -> bool {
-        self.0.remove(&k).is_some()
-    }
-
-    fn search(&self, k: u64) -> bool {
-        self.0.try_read(&k).is_some()
-    }
-}
-
-/// The sharded skip-list map pinned to one SMR backend, lookups via
-/// the pin-free `try_read` entry point.
-struct ShardTier<R>(ShardedSkipList<u64, u64, R>)
-where
-    R: Reclaim + Publish<u64> + 'static;
-
-struct ShardTierHandle<'a, R>(lf_shard::ShardedHandle<'a, u64, u64, R>)
-where
-    R: Reclaim + Publish<u64> + 'static;
-
-impl<R> BenchMap for ShardTier<R>
-where
-    R: Reclaim + Publish<u64> + 'static,
-{
-    type Handle<'a> = ShardTierHandle<'a, R>;
-
-    fn create() -> Self {
-        ShardTier(ShardedSkipList::with_backend(SHARDS))
-    }
-
-    fn bench_handle(&self) -> Self::Handle<'_> {
-        ShardTierHandle(self.0.handle())
-    }
-
-    fn name() -> &'static str {
-        match R::NAME {
-            "ebr" => "fr-shard-skiplist-ebr",
-            "vbr" => "fr-shard-skiplist-vbr",
-            _ => "fr-shard-skiplist-smr",
-        }
-    }
-
-    fn peak_unreclaimed(&self) -> Option<u64> {
-        Some(R::gauge(self.0.domain()).peak_unreclaimed())
-    }
-}
-
-impl<R> MapHandle for ShardTierHandle<'_, R>
-where
-    R: Reclaim + Publish<u64> + 'static,
-{
-    fn insert(&self, k: u64) -> bool {
-        self.0.insert(k, k).is_ok()
-    }
-
-    fn remove(&self, k: u64) -> bool {
-        self.0.remove(&k).is_some()
-    }
-
-    fn search(&self, k: u64) -> bool {
-        self.0.try_read(&k).is_some()
-    }
-}
-
 /// Repetitions per cell; the median-throughput run is reported.
 /// Cross-structure ratios on an oversubscribed box are otherwise
 /// dominated by scheduler noise.
 const REPS: usize = 5;
 
-fn measure<M: BenchMap>(threads: usize, ops: u64, mix: Mix) -> RunResult {
+/// The median-throughput run of `REPS`, each on a fresh structure from
+/// `make`; `peak` reads its domain's peak-unreclaimed gauge.
+fn measure<D: Dict<Key = u64, Value = u64>>(
+    make: impl Fn() -> D,
+    peak: impl Fn(&D) -> u64,
+    threads: usize,
+    ops: u64,
+    mix: Mix,
+) -> RunResult {
     let cfg = RunConfig {
         threads,
         ops_per_thread: ops,
@@ -166,9 +66,44 @@ fn measure<M: BenchMap>(threads: usize, ops: u64, mix: Mix) -> RunResult {
         seed: 0xE15,
         prefill: 2048,
     };
-    let mut runs: Vec<RunResult> = (0..REPS).map(|_| run_mixed::<M>(&cfg)).collect();
+    let mut runs: Vec<RunResult> = (0..REPS)
+        .map(|_| {
+            let map = make();
+            let res = run_mixed(&map, &cfg, Lookup::TryRead);
+            RunResult {
+                peak_unreclaimed: Some(peak(&map)),
+                ..res
+            }
+        })
+        .collect();
     runs.sort_by(|a, b| a.throughput().total_cmp(&b.throughput()));
     runs.swap_remove(REPS / 2)
+}
+
+/// One cell of the hash-map tier over backend `R`.
+fn map_tier<R: Reclaim + Publish<u64> + 'static>(threads: usize, ops: u64, mix: Mix) -> RunResult {
+    measure(
+        || BucketMap::<u64, u64, R>::with_backend(BUCKETS),
+        |m| R::gauge(m.domain()).peak_unreclaimed(),
+        threads,
+        ops,
+        mix,
+    )
+}
+
+/// One cell of the sharded skip-list tier over backend `R`.
+fn shard_tier<R: Reclaim + Publish<u64> + 'static>(
+    threads: usize,
+    ops: u64,
+    mix: Mix,
+) -> RunResult {
+    measure(
+        || ShardedSkipList::<u64, u64, R>::with_backend(SHARDS),
+        |m| R::gauge(m.domain()).peak_unreclaimed(),
+        threads,
+        ops,
+        mix,
+    )
 }
 
 /// Print the map-vs-shard tables and emit `BENCH_e15.json`.
@@ -196,16 +131,10 @@ pub fn run(quick: bool) {
         ]);
         for &t in threads {
             let results = [
-                ("fr-map-ebr", measure::<HashMapTier<Ebr>>(t, ops, mix)),
-                ("fr-map-vbr", measure::<HashMapTier<Vbr>>(t, ops, mix)),
-                (
-                    "fr-shard-skiplist-ebr",
-                    measure::<ShardTier<Ebr>>(t, ops, mix),
-                ),
-                (
-                    "fr-shard-skiplist-vbr",
-                    measure::<ShardTier<Vbr>>(t, ops, mix),
-                ),
+                ("fr-map-ebr", map_tier::<Ebr>(t, ops, mix)),
+                ("fr-map-vbr", map_tier::<Vbr>(t, ops, mix)),
+                ("fr-shard-skiplist-ebr", shard_tier::<Ebr>(t, ops, mix)),
+                ("fr-shard-skiplist-vbr", shard_tier::<Vbr>(t, ops, mix)),
             ];
             if mix.search == Mix::READ_HEAVY.search {
                 map_vs_shard.push((

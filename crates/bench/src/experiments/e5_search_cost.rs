@@ -7,7 +7,7 @@
 use lf_core::{FrList, SkipList};
 use lf_workloads::{KeyDist, Mix};
 
-use crate::runner::{run_mixed, RunConfig};
+use crate::runner::{run_mixed, Lookup, RunConfig};
 use crate::table::{fmt_f, Table};
 
 /// Print the scaling series.
@@ -38,13 +38,14 @@ pub fn run(quick: bool) {
             seed: 0xE5,
             prefill: n,
         };
-        let sl = run_mixed::<SkipList<u64, u64>>(&cfg);
+        let sl = run_mixed(&SkipList::<u64, u64>::new(), &cfg, Lookup::Contains);
         // The flat list at 64k would dominate the runtime; cap it.
         let flat_steps = if n <= 4096 {
-            let flat = run_mixed::<FrList<u64, u64>>(&RunConfig {
+            let flat_cfg = RunConfig {
                 ops_per_thread: ops.min(2_000),
                 ..cfg.clone()
-            });
+            };
+            let flat = run_mixed(&FrList::<u64, u64>::new(), &flat_cfg, Lookup::Contains);
             Some(flat.steps_per_op())
         } else {
             None

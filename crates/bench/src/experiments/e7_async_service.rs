@@ -31,10 +31,8 @@ use std::sync::Arc;
 use std::task::{Context, Poll};
 use std::time::{Duration, Instant};
 
-use lf_async::{
-    AsyncBackend, AsyncSkipList, BackpressurePolicy, Service, ServiceBuilder, ServiceSnapshot,
-};
-use lf_core::{FrList, SkipList};
+use lf_async::{AsyncSkipList, BackpressurePolicy, Service, ServiceBuilder, ServiceSnapshot};
+use lf_core::{Dict, FrList, SkipList};
 use lf_metrics::export::{histogram_json, JsonObj};
 use lf_sched::rt;
 use lf_workloads::{KeyDist, Mix, OpKind, WorkloadIter};
@@ -55,7 +53,7 @@ fn drive<B>(
     space: u64,
 ) -> (f64, ServiceSnapshot)
 where
-    B: AsyncBackend<Key = u64, Value = u64>,
+    B: Dict<Key = u64, Value = u64>,
 {
     let started = Instant::now();
     let threads: Vec<_> = (0..drivers)
@@ -145,7 +143,7 @@ fn drive_open_loop<B>(
     space: u64,
 ) -> (f64, ServiceSnapshot)
 where
-    B: AsyncBackend<Key = u64, Value = u64>,
+    B: Dict<Key = u64, Value = u64>,
 {
     let mut w = WorkloadIter::new(Mix::READ_HEAVY, KeyDist::Uniform { space }, 0xE7_0B);
     let interval = Duration::from_secs_f64(1.0 / rate);

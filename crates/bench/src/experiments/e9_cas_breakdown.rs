@@ -6,15 +6,14 @@
 //! contention, with failures per operation staying bounded (they are
 //! the `O(c)` term).
 
-use lf_core::{FrList, SkipList};
+use lf_core::{Dict, FrList, SkipList};
 use lf_metrics::CasType;
 use lf_workloads::{KeyDist, Mix};
 
-use crate::adapters::BenchMap;
-use crate::runner::{run_mixed, RunConfig, RunResult};
+use crate::runner::{run_mixed, Lookup, RunConfig, RunResult};
 use crate::table::{fmt_f, Table};
 
-fn measure<M: BenchMap>(threads: usize, ops: u64) -> RunResult {
+fn measure<D: Dict<Key = u64, Value = u64>>(map: D, threads: usize, ops: u64) -> RunResult {
     let cfg = RunConfig {
         threads,
         ops_per_thread: ops,
@@ -26,7 +25,7 @@ fn measure<M: BenchMap>(threads: usize, ops: u64) -> RunResult {
         seed: 0xE9,
         prefill: 256,
     };
-    run_mixed::<M>(&cfg)
+    run_mixed(&map, &cfg, Lookup::Contains)
 }
 
 fn print_breakdown(name: &str, res: &RunResult) {
@@ -55,9 +54,9 @@ fn print_breakdown(name: &str, res: &RunResult) {
 pub fn run(quick: bool) {
     println!("E9: C&S success/failure breakdown by type (paper Def. 4)\n");
     let ops: u64 = if quick { 8_000 } else { 40_000 };
-    let fr = measure::<FrList<u64, u64>>(4, ops);
+    let fr = measure(FrList::new(), 4, ops);
     print_breakdown("fr-list", &fr);
-    let sl = measure::<SkipList<u64, u64>>(4, ops);
+    let sl = measure(SkipList::new(), 4, ops);
     print_breakdown("fr-skiplist", &sl);
     println!(
         "paper claim: every failure is billed to a concurrent successful C&S\n\

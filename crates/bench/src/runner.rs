@@ -3,9 +3,31 @@
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-use lf_workloads::{KeyDist, Mix, OpKind, WorkloadIter};
+use lf_core::{Dict, DictHandle};
+use lf_workloads::{KeyDist, Mix, Op, OpKind, WorkloadIter};
 
-use crate::adapters::{BenchMap, MapHandle};
+/// Which handle call a mix's `Search` op issues.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Lookup {
+    /// [`DictHandle::contains`]: the paper's Search.
+    Contains,
+    /// [`DictHandle::try_read`]: the pin-free read on VBR, a pinned
+    /// `get` elsewhere — the entry point a serving front end uses.
+    TryRead,
+}
+
+/// Issue one workload op on `h` (inserts bind `k → k`); `true` when
+/// the insert/remove succeeded or the lookup hit.
+pub fn apply_op<H: DictHandle<u64, u64>>(h: &H, op: Op, lookup: Lookup) -> bool {
+    match op.kind {
+        OpKind::Insert => h.insert(op.key, op.key),
+        OpKind::Remove => h.remove(&op.key).is_some(),
+        OpKind::Search => match lookup {
+            Lookup::Contains => h.contains(&op.key),
+            Lookup::TryRead => h.try_read(&op.key).is_some(),
+        },
+    }
+}
 
 /// Parameters of one measured run.
 #[derive(Clone, Debug)]
@@ -38,7 +60,8 @@ pub struct RunResult {
     /// backlink / hop distributions) for the measured phase.
     pub telemetry: lf_metrics::Telemetry,
     /// Peak unreclaimed objects in the map's reclamation domain over
-    /// the whole run (prefill included), when the map reports one.
+    /// the whole run (prefill included), when the caller read its
+    /// gauge (E14/E15 do).
     pub peak_unreclaimed: Option<u64>,
 }
 
@@ -64,19 +87,21 @@ fn space_of(dist: &KeyDist) -> u64 {
     }
 }
 
-/// Run `cfg` against a fresh `M`, returning throughput and the
+/// Run `cfg` against `map` (fresh from the caller), with the mix's
+/// searches issued as `lookup`; returns throughput and the
 /// essential-step delta attributable to the measured phase.
-pub fn run_mixed<M: BenchMap>(cfg: &RunConfig) -> RunResult {
-    let map = M::create();
-
+pub fn run_mixed<D>(map: &D, cfg: &RunConfig, lookup: Lookup) -> RunResult
+where
+    D: Dict<Key = u64, Value = u64>,
+{
     // Prefill half the key space (even keys) so searches hit ~50%.
     {
-        let h = map.bench_handle();
+        let h = map.handle();
         let space = space_of(&cfg.dist);
         let mut inserted = 0;
         let mut k = 0;
         while inserted < cfg.prefill && k < space {
-            h.insert(k);
+            h.insert(k, k);
             inserted += 1;
             k += 2;
         }
@@ -91,7 +116,6 @@ pub fn run_mixed<M: BenchMap>(cfg: &RunConfig) -> RunResult {
     let ((), telemetry) = lf_metrics::Registry::join_and_snapshot(|| {
         std::thread::scope(|s| {
             for t in 0..cfg.threads {
-                let map = &map;
                 let barrier = &barrier;
                 let mix = cfg.mix;
                 let dist = cfg.dist.clone();
@@ -101,19 +125,14 @@ pub fn run_mixed<M: BenchMap>(cfg: &RunConfig) -> RunResult {
                     .wrapping_mul(0x2545F4914F6CDD1D);
                 let ops = cfg.ops_per_thread;
                 s.spawn(move || {
-                    let h = map.bench_handle();
+                    let h = map.handle();
                     let mut w = WorkloadIter::new(mix, dist, seed);
                     // Fault in this worker's telemetry storage before
                     // the clock starts.
                     lf_metrics::prewarm();
                     barrier.wait();
                     for _ in 0..ops {
-                        let op = w.next_op();
-                        match op.kind {
-                            OpKind::Insert => h.insert(op.key),
-                            OpKind::Remove => h.remove(op.key),
-                            OpKind::Search => h.search(op.key),
-                        };
+                        apply_op(&h, w.next_op(), lookup);
                     }
                 });
             }
@@ -135,7 +154,7 @@ pub fn run_mixed<M: BenchMap>(cfg: &RunConfig) -> RunResult {
         elapsed,
         metrics: telemetry.counters,
         telemetry,
-        peak_unreclaimed: map.peak_unreclaimed(),
+        peak_unreclaimed: None,
     }
 }
 
@@ -154,7 +173,7 @@ mod tests {
             seed: 42,
             prefill: 16,
         };
-        let res = run_mixed::<FrList<u64, u64>>(&cfg);
+        let res = run_mixed(&FrList::<u64, u64>::new(), &cfg, Lookup::Contains);
         assert_eq!(res.ops, 400);
         assert!(res.throughput() > 0.0);
         // Every op records at least its own completion; steps/op must

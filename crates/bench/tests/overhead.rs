@@ -10,7 +10,7 @@
 //! cargo test -p lf-bench --release -- --ignored overhead
 //! ```
 
-use lf_bench::runner::{run_mixed, RunConfig};
+use lf_bench::runner::{run_mixed, Lookup, RunConfig};
 use lf_core::FrList;
 use lf_workloads::{KeyDist, Mix};
 
@@ -26,7 +26,7 @@ fn throughput(histograms: bool) -> f64 {
         seed: 0xE4,
         prefill: 128,
     };
-    run_mixed::<FrList<u64, u64>>(&cfg).throughput()
+    run_mixed(&FrList::<u64, u64>::new(), &cfg, Lookup::Contains).throughput()
 }
 
 #[test]

@@ -18,7 +18,7 @@
 
 use std::sync::Mutex;
 
-use lf_bench::runner::{run_mixed, RunConfig};
+use lf_bench::runner::{run_mixed, Lookup, RunConfig};
 use lf_core::{FrList, SkipList};
 use lf_workloads::{KeyDist, Mix};
 
@@ -42,7 +42,7 @@ fn list_throughput(trace: bool) -> f64 {
         seed: 0xE4,
         prefill: 128,
     };
-    run_mixed::<FrList<u64, u64>>(&cfg).throughput()
+    run_mixed(&FrList::<u64, u64>::new(), &cfg, Lookup::Contains).throughput()
 }
 
 /// E6 skip-list configuration (key space 8192, prefill 2048, update-heavy).
@@ -60,7 +60,7 @@ fn skiplist_throughput(trace: bool) -> f64 {
         seed: 0xE6,
         prefill: 2048,
     };
-    run_mixed::<SkipList<u64, u64>>(&cfg).throughput()
+    run_mixed(&SkipList::<u64, u64>::new(), &cfg, Lookup::Contains).throughput()
 }
 
 /// Best-of-9 with the variants interleaved: external noise only ever

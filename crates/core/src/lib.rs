@@ -18,6 +18,11 @@
 //! through [`lf_metrics`] so the paper's amortized analysis can be
 //! validated empirically (see the workspace's `lf-bench` crate).
 //!
+//! Every dictionary of the workspace — both structures here, the
+//! partitioned tiers built on them, and the baselines — implements the
+//! one [`Dict`]/[`DictHandle`] abstraction, which the benchmark runner,
+//! the async service and the conformance tests drive generically.
+//!
 //! # Quick start
 //!
 //! ```
@@ -39,11 +44,13 @@
 //! assert_eq!(map.len(), 400);
 //! ```
 
+pub mod dict;
 pub mod list;
 pub(crate) mod pool;
 pub mod pq;
 pub mod skiplist;
 
+pub use dict::{Dict, DictHandle};
 pub use list::{ChainIter, FrList, Iter, ListHandle, ListSet, SetHandle};
 pub use pq::{PqHandle, PriorityQueue};
 pub use skiplist::{

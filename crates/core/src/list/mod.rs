@@ -609,3 +609,82 @@ where
         }
     }
 }
+
+impl<K, V, R> crate::Dict for FrList<K, V, R>
+where
+    K: Ord + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+    R: Reclaim + Publish<K> + Publish<V>,
+{
+    type Key = K;
+    type Value = V;
+    type Handle<'a> = ListHandle<'a, K, V, R>;
+
+    fn handle(&self) -> Self::Handle<'_> {
+        FrList::handle(self)
+    }
+
+    fn len(&self) -> usize {
+        FrList::len(self)
+    }
+
+    fn ordered(&self) -> bool {
+        true
+    }
+}
+
+impl<K, V, R> crate::DictHandle<K, V> for ListHandle<'_, K, V, R>
+where
+    K: Ord + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+    R: Reclaim + Publish<K> + Publish<V>,
+{
+    fn get(&self, key: &K) -> Option<V> {
+        ListHandle::get(self, key)
+    }
+
+    fn contains(&self, key: &K) -> bool {
+        ListHandle::contains(self, key)
+    }
+
+    fn insert(&self, key: K, value: V) -> bool {
+        ListHandle::insert(self, key, value).is_ok()
+    }
+
+    fn remove(&self, key: &K) -> Option<V> {
+        ListHandle::remove(self, key)
+    }
+
+    fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        ListHandle::get_with(self, key, f)
+    }
+
+    fn try_read(&self, key: &K) -> Option<V>
+    where
+        K: lf_reclaim::Pod,
+        V: lf_reclaim::Pod,
+    {
+        ListHandle::try_read(self, key)
+    }
+
+    /// The list iterates in key order; a list has no positioned
+    /// descent, so the page skips to strictly after the cursor.
+    fn scan(&self, after: Option<&K>, limit: usize, out: &mut Vec<(K, V)>) {
+        let page = self
+            .iter()
+            .skip_while(|(k, _)| after.is_some_and(|a| k <= a));
+        out.extend(page.take(limit));
+    }
+
+    fn amortize_pins(&self, every: u32) {
+        ListHandle::amortize_pins(self, every);
+    }
+
+    fn quiesce(&self) {
+        ListHandle::quiesce(self);
+    }
+
+    fn flush_reclamation(&self) {
+        ListHandle::flush_reclamation(self);
+    }
+}

@@ -186,7 +186,7 @@ where
     }
 
     /// [`remove`](Self::remove) against the sibling `list` (see
-    /// [`FrList::delete_sibling`] for the bucket-path deletion steps).
+    /// `FrList::delete_sibling` for the bucket-path deletion steps).
     ///
     /// # Panics
     ///
@@ -277,7 +277,7 @@ where
 {
     /// [`try_read`](Self::try_read) against the sibling `list`: a
     /// pin-free point lookup on `PIN_FREE_READS` backends, falling back
-    /// to the pinned [`get_in`](Self::get_in) after [`READ_ATTEMPTS`]
+    /// to the pinned [`get_in`](Self::get_in) after `READ_ATTEMPTS`
     /// raced attempts (or always, on pinned backends).
     ///
     /// # Panics

@@ -796,3 +796,80 @@ where
         }
     }
 }
+
+impl<K, V, R> crate::Dict for SkipList<K, V, R>
+where
+    K: Ord + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+    R: Reclaim + Publish<K> + Publish<V>,
+{
+    type Key = K;
+    type Value = V;
+    type Handle<'a> = SkipListHandle<'a, K, V, R>;
+
+    fn handle(&self) -> Self::Handle<'_> {
+        SkipList::handle(self)
+    }
+
+    fn len(&self) -> usize {
+        SkipList::len(self)
+    }
+
+    fn ordered(&self) -> bool {
+        true
+    }
+}
+
+impl<K, V, R> crate::DictHandle<K, V> for SkipListHandle<'_, K, V, R>
+where
+    K: Ord + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+    R: Reclaim + Publish<K> + Publish<V>,
+{
+    fn get(&self, key: &K) -> Option<V> {
+        SkipListHandle::get(self, key)
+    }
+
+    fn contains(&self, key: &K) -> bool {
+        SkipListHandle::contains(self, key)
+    }
+
+    fn insert(&self, key: K, value: V) -> bool {
+        SkipListHandle::insert(self, key, value).is_ok()
+    }
+
+    fn remove(&self, key: &K) -> Option<V> {
+        SkipListHandle::remove(self, key)
+    }
+
+    fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        SkipListHandle::get_with(self, key, f)
+    }
+
+    fn try_read(&self, key: &K) -> Option<V>
+    where
+        K: lf_reclaim::Pod,
+        V: lf_reclaim::Pod,
+    {
+        SkipListHandle::try_read(self, key)
+    }
+
+    fn scan(&self, after: Option<&K>, limit: usize, out: &mut Vec<(K, V)>) {
+        let from = after.map_or(std::ops::Bound::Unbounded, |k| {
+            std::ops::Bound::Excluded(k.clone())
+        });
+        out.extend(self.range((from, std::ops::Bound::Unbounded)).take(limit));
+    }
+
+    fn amortize_pins(&self, every: u32) {
+        SkipListHandle::amortize_pins(self, every);
+    }
+
+    fn quiesce(&self) {
+        SkipListHandle::quiesce(self);
+    }
+
+    fn flush_reclamation(&self) {
+        SkipListHandle::flush_reclamation(self);
+    }
+}

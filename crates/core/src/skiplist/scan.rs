@@ -134,7 +134,10 @@ where
 /// domain — the function asserts this via
 /// [`SkipList::shares_domain_with`] and panics otherwise.
 ///
-/// See the [module docs](self) for the consistency contract.
+/// No atomic snapshot across lists (nor within one): a key present
+/// for the scan's entire duration is visited exactly once, a key
+/// absent throughout is never visited, and keys inserted or deleted
+/// mid-scan may or may not appear.
 ///
 /// # Examples
 ///

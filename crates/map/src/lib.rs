@@ -19,8 +19,8 @@
 //! from one bucket can be re-tenanted into another; pin-free readers
 //! stay sound because birth-stamp validation rejects re-tenanted
 //! blocks no matter which bucket's chain they resurface on (see
-//! `lf-core`'s sibling read). The unordered [`iter`]
-//! (BucketMapHandle::iter) walks every bucket under **one** amortized
+//! `lf-core`'s sibling read). The unordered
+//! [`iter`](BucketMapHandle::iter) walks every bucket under **one** amortized
 //! pin via [`ChainIter`].
 //!
 //! Like the rest of the stack, the map is generic over the reclamation
@@ -525,6 +525,76 @@ where
         f.debug_struct("BucketMapHandle")
             .field("buckets", &self.map.bucket_count())
             .finish()
+    }
+}
+
+impl<K, V, R> lf_core::Dict for BucketMap<K, V, R>
+where
+    K: Ord + Hash + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+    R: Reclaim + Publish<K> + Publish<V>,
+{
+    type Key = K;
+    type Value = V;
+    type Handle<'a> = BucketMapHandle<'a, K, V, R>;
+
+    fn handle(&self) -> Self::Handle<'_> {
+        BucketMap::handle(self)
+    }
+
+    fn len(&self) -> usize {
+        BucketMap::len(self)
+    }
+
+    /// Bucket affinity: a key's bucket.
+    fn partition_of(&self, key: &K) -> Option<usize> {
+        Some(self.bucket_of(key))
+    }
+}
+
+impl<K, V, R> lf_core::DictHandle<K, V> for BucketMapHandle<'_, K, V, R>
+where
+    K: Ord + Hash + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+    R: Reclaim + Publish<K> + Publish<V>,
+{
+    fn get(&self, key: &K) -> Option<V> {
+        BucketMapHandle::get(self, key)
+    }
+
+    fn contains(&self, key: &K) -> bool {
+        BucketMapHandle::contains(self, key)
+    }
+
+    fn insert(&self, key: K, value: V) -> bool {
+        BucketMapHandle::insert(self, key, value).is_ok()
+    }
+
+    fn remove(&self, key: &K) -> Option<V> {
+        BucketMapHandle::remove(self, key)
+    }
+
+    fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        BucketMapHandle::get_with(self, key, f)
+    }
+
+    fn try_read(&self, key: &K) -> Option<V>
+    where
+        K: Pod,
+        V: Pod,
+    {
+        BucketMapHandle::try_read(self, key)
+    }
+    fn amortize_pins(&self, every: u32) {
+        BucketMapHandle::amortize_pins(self, every);
+    }
+
+    fn quiesce(&self) {
+        BucketMapHandle::quiesce(self);
+    }
+
+    fn flush_reclamation(&self) {
+        BucketMapHandle::flush_reclamation(self);
     }
 }
 

@@ -38,7 +38,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use lf_async::{AsyncBackend, Service};
+use lf_async::{Dict, Service};
 
 use crate::metrics::ServerMetrics;
 use crate::server::StopSignal;
@@ -100,7 +100,7 @@ impl Controller {
         cfg: ControllerConfig,
     ) -> Controller
     where
-        B: AsyncBackend,
+        B: Dict,
     {
         let thread = std::thread::Builder::new()
             .name("lf-server-controller".into())
@@ -120,7 +120,7 @@ impl Controller {
     }
 }
 
-fn control_loop<B: AsyncBackend>(
+fn control_loop<B: Dict>(
     service: &Service<B>,
     metrics: &ServerMetrics,
     stop: &StopSignal,

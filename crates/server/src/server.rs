@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use lf_async::{AsyncBackend, Service};
+use lf_async::{Dict, Service};
 
 use crate::conn;
 use crate::controller::{Controller, ControllerConfig};
@@ -32,9 +32,10 @@ use crate::metrics::ServerMetrics;
 /// Key/value bytes on the wire.
 pub type Bytes = Vec<u8>;
 
-/// The backend bound the wire server needs: byte keys and values.
-pub trait ByteBackend: AsyncBackend<Key = Bytes, Value = Bytes> {}
-impl<B: AsyncBackend<Key = Bytes, Value = Bytes>> ByteBackend for B {}
+/// The structure bound the wire server needs: a [`Dict`] over byte
+/// keys and values.
+pub trait ByteBackend: Dict<Key = Bytes, Value = Bytes> {}
+impl<B: Dict<Key = Bytes, Value = Bytes>> ByteBackend for B {}
 
 /// Cooperative stop: a cheap flag for hot-path checks plus a condvar
 /// so pacing threads (controller, waiters) park instead of polling.
@@ -93,10 +94,12 @@ impl StopSignal {
 ///
 /// ```no_run
 /// use std::sync::Arc;
-/// use lf_async::HashMapBuilder;
+/// use lf_async::{AsyncHashMap, ServiceBuilder};
+/// use lf_map::BucketMap;
 /// use lf_server::ServerBuilder;
 ///
-/// let service = Arc::new(HashMapBuilder::new().workers(2).build::<Vec<u8>, Vec<u8>>());
+/// let service: Arc<AsyncHashMap<Vec<u8>, Vec<u8>>> =
+///     Arc::new(ServiceBuilder::new().workers(2).build(BucketMap::default()));
 /// let server = ServerBuilder::new()
 ///     .addr("127.0.0.1:0")
 ///     .adaptive(Default::default())

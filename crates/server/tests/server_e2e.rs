@@ -13,7 +13,8 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use lf_async::{BackpressurePolicy, HashMapBuilder, ServiceBuilder};
+use lf_async::{BackpressurePolicy, ServiceBuilder};
+use lf_map::BucketMap;
 use lf_server::resp::{self, Reply};
 use lf_server::{Bytes, ServerBuilder};
 
@@ -191,7 +192,11 @@ fn scan_paginates_the_ordered_keyspace() {
 
 #[test]
 fn scan_refused_on_hash_tier() {
-    let service = Arc::new(HashMapBuilder::new().workers(2).build::<Bytes, Bytes>());
+    let service = Arc::new(
+        ServiceBuilder::new()
+            .workers(2)
+            .build(BucketMap::<Bytes, Bytes>::default()),
+    );
     let server = ServerBuilder::new().serve(Arc::clone(&service)).unwrap();
     let mut c = Client::connect(server.local_addr());
 
@@ -212,7 +217,11 @@ fn scan_refused_on_hash_tier() {
 
 #[test]
 fn pipelined_replies_arrive_in_order() {
-    let service = Arc::new(HashMapBuilder::new().workers(2).build::<Bytes, Bytes>());
+    let service = Arc::new(
+        ServiceBuilder::new()
+            .workers(2)
+            .build(BucketMap::<Bytes, Bytes>::default()),
+    );
     let server = ServerBuilder::new().serve(Arc::clone(&service)).unwrap();
     let mut c = Client::connect(server.local_addr());
 
@@ -270,12 +279,12 @@ fn hammer(addr: std::net::SocketAddr, total: usize, burst: usize) -> (u64, u64, 
 #[test]
 fn reject_policy_surfaces_busy_with_exact_accounting() {
     let service = Arc::new(
-        HashMapBuilder::new()
+        ServiceBuilder::new()
             .workers(1)
             .queue_capacity(2)
             .batch_max(1)
             .policy(BackpressurePolicy::Reject)
-            .build::<Bytes, Bytes>(),
+            .build(BucketMap::<Bytes, Bytes>::default()),
     );
     let server = ServerBuilder::new().serve(Arc::clone(&service)).unwrap();
 
@@ -306,12 +315,12 @@ fn reject_policy_surfaces_busy_with_exact_accounting() {
 #[test]
 fn shed_policy_surfaces_busy_with_exact_accounting() {
     let service = Arc::new(
-        HashMapBuilder::new()
+        ServiceBuilder::new()
             .workers(1)
             .queue_capacity(2)
             .batch_max(1)
             .policy(BackpressurePolicy::Shed)
-            .build::<Bytes, Bytes>(),
+            .build(BucketMap::<Bytes, Bytes>::default()),
     );
     let server = ServerBuilder::new().serve(Arc::clone(&service)).unwrap();
 
@@ -394,12 +403,12 @@ fn pipelined_same_key_ops_read_their_writes_under_block() {
 #[test]
 fn busy_multi_key_commands_keep_exact_accounting() {
     let service = Arc::new(
-        HashMapBuilder::new()
+        ServiceBuilder::new()
             .workers(1)
             .queue_capacity(2)
             .batch_max(1)
             .policy(BackpressurePolicy::Reject)
-            .build::<Bytes, Bytes>(),
+            .build(BucketMap::<Bytes, Bytes>::default()),
     );
     let server = ServerBuilder::new().serve(Arc::clone(&service)).unwrap();
     let mut c = Client::connect(server.local_addr());
@@ -453,7 +462,11 @@ fn busy_multi_key_commands_keep_exact_accounting() {
 
 #[test]
 fn protocol_error_closes_the_connection() {
-    let service = Arc::new(HashMapBuilder::new().workers(1).build::<Bytes, Bytes>());
+    let service = Arc::new(
+        ServiceBuilder::new()
+            .workers(1)
+            .build(BucketMap::<Bytes, Bytes>::default()),
+    );
     let server = ServerBuilder::new().serve(Arc::clone(&service)).unwrap();
     let mut c = Client::connect(server.local_addr());
 
@@ -485,7 +498,11 @@ fn protocol_error_closes_the_connection() {
 
 #[test]
 fn shutdown_is_gated_and_stops_the_server_when_allowed() {
-    let service = Arc::new(HashMapBuilder::new().workers(1).build::<Bytes, Bytes>());
+    let service = Arc::new(
+        ServiceBuilder::new()
+            .workers(1)
+            .build(BucketMap::<Bytes, Bytes>::default()),
+    );
 
     // Default: SHUTDOWN refused, server keeps running.
     let server = ServerBuilder::new().serve(Arc::clone(&service)).unwrap();

@@ -67,7 +67,7 @@ pub use map_flavor::{ShardedMap, ShardedMapHandle, ShardedMapIter};
 
 use std::fmt;
 use std::hash::Hash;
-use std::ops::RangeBounds;
+use std::ops::{Bound, RangeBounds};
 
 use lf_core::skiplist::{merged_range, SkipList, SkipListHandle};
 use lf_metrics::partition::{self, OpHistograms, PartTotals, PartitionRecorder, PartitionStats};
@@ -116,8 +116,8 @@ pub const DEFAULT_SHARDS: usize = 8;
 /// and the scan's consistency contract.
 ///
 /// `R` selects the safe-memory-reclamation backend shared by every
-/// shard (default epoch-based; see [`with_backend`]
-/// (ShardedSkipList::with_backend)).
+/// shard (default epoch-based; see
+/// [`with_backend`](ShardedSkipList::with_backend)).
 pub struct ShardedSkipList<K, V, R = Ebr>
 where
     K: Ord + Hash + Send + Sync + 'static,
@@ -527,6 +527,94 @@ where
         f.debug_struct("ShardedHandle")
             .field("shards", &self.handles.len())
             .finish()
+    }
+}
+
+impl<K, V, R> lf_core::Dict for ShardedSkipList<K, V, R>
+where
+    K: Ord + Hash + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+    R: Reclaim + Publish<K> + Publish<V>,
+{
+    type Key = K;
+    type Value = V;
+    type Handle<'a> = ShardedHandle<'a, K, V, R>;
+
+    fn handle(&self) -> Self::Handle<'_> {
+        ShardedSkipList::handle(self)
+    }
+
+    fn len(&self) -> usize {
+        ShardedSkipList::len(self)
+    }
+
+    fn ordered(&self) -> bool {
+        true
+    }
+
+    /// Shard affinity: a key's shard.
+    fn partition_of(&self, key: &K) -> Option<usize> {
+        Some(self.shard_of(key))
+    }
+}
+
+impl<K, V, R> lf_core::DictHandle<K, V> for ShardedHandle<'_, K, V, R>
+where
+    K: Ord + Hash + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+    R: Reclaim + Publish<K> + Publish<V>,
+{
+    fn get(&self, key: &K) -> Option<V> {
+        ShardedHandle::get(self, key)
+    }
+
+    fn contains(&self, key: &K) -> bool {
+        ShardedHandle::contains(self, key)
+    }
+
+    fn insert(&self, key: K, value: V) -> bool {
+        ShardedHandle::insert(self, key, value).is_ok()
+    }
+
+    fn remove(&self, key: &K) -> Option<V> {
+        ShardedHandle::remove(self, key)
+    }
+
+    fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        ShardedHandle::get_with(self, key, f)
+    }
+
+    fn try_read(&self, key: &K) -> Option<V>
+    where
+        K: Pod,
+        V: Pod,
+    {
+        ShardedHandle::try_read(self, key)
+    }
+
+    /// A k-way merged [`range`](ShardedHandle::range) across shards; the
+    /// visitor stops the merge once the page is full.
+    fn scan(&self, after: Option<&K>, limit: usize, out: &mut Vec<(K, V)>) {
+        if limit == 0 {
+            return;
+        }
+        let from = after.map_or(Bound::Unbounded, |k| Bound::Excluded(k.clone()));
+        let start = out.len();
+        self.range((from, Bound::Unbounded), |k, v| {
+            out.push((k.clone(), v.clone()));
+            out.len() - start < limit
+        });
+    }
+    fn amortize_pins(&self, every: u32) {
+        ShardedHandle::amortize_pins(self, every);
+    }
+
+    fn quiesce(&self) {
+        ShardedHandle::quiesce(self);
+    }
+
+    fn flush_reclamation(&self) {
+        ShardedHandle::flush_reclamation(self);
     }
 }
 

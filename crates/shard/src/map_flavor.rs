@@ -24,7 +24,7 @@ use lf_reclaim::{Ebr, Pod, Publish, Reclaim};
 use crate::router;
 
 /// A hash-partitioned dictionary over `P` independent
-/// [`BucketMap`] shards (see the [module docs](self) for how this
+/// [`BucketMap`] shards (see the [crate docs](crate) for how this
 /// differs from [`ShardedSkipList`](crate::ShardedSkipList)).
 ///
 /// Obtain a per-thread [`ShardedMapHandle`] with
@@ -385,6 +385,77 @@ where
             self.idx += 1;
         }
         None
+    }
+}
+
+impl<K, V, R> lf_core::Dict for ShardedMap<K, V, R>
+where
+    K: Ord + Hash + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+    R: Reclaim + Publish<K> + Publish<V>,
+{
+    type Key = K;
+    type Value = V;
+    type Handle<'a> = ShardedMapHandle<'a, K, V, R>;
+
+    fn handle(&self) -> Self::Handle<'_> {
+        ShardedMap::handle(self)
+    }
+
+    fn len(&self) -> usize {
+        ShardedMap::len(self)
+    }
+
+    /// Shard affinity: a key's shard (and with it that shard's whole
+    /// reclamation domain).
+    fn partition_of(&self, key: &K) -> Option<usize> {
+        Some(self.shard_of(key))
+    }
+}
+
+impl<K, V, R> lf_core::DictHandle<K, V> for ShardedMapHandle<'_, K, V, R>
+where
+    K: Ord + Hash + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+    R: Reclaim + Publish<K> + Publish<V>,
+{
+    fn get(&self, key: &K) -> Option<V> {
+        ShardedMapHandle::get(self, key)
+    }
+
+    fn contains(&self, key: &K) -> bool {
+        ShardedMapHandle::contains(self, key)
+    }
+
+    fn insert(&self, key: K, value: V) -> bool {
+        ShardedMapHandle::insert(self, key, value).is_ok()
+    }
+
+    fn remove(&self, key: &K) -> Option<V> {
+        ShardedMapHandle::remove(self, key)
+    }
+
+    fn get_with<T>(&self, key: &K, f: impl FnOnce(&V) -> T) -> Option<T> {
+        ShardedMapHandle::get_with(self, key, f)
+    }
+
+    fn try_read(&self, key: &K) -> Option<V>
+    where
+        K: Pod,
+        V: Pod,
+    {
+        ShardedMapHandle::try_read(self, key)
+    }
+    fn amortize_pins(&self, every: u32) {
+        ShardedMapHandle::amortize_pins(self, every);
+    }
+
+    fn quiesce(&self) {
+        ShardedMapHandle::quiesce(self);
+    }
+
+    fn flush_reclamation(&self) {
+        ShardedMapHandle::flush_reclamation(self);
     }
 }
 
